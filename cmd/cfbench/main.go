@@ -1,6 +1,6 @@
-// Command cfbench runs the paper-reproduction experiments (E1-E10; see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results).
+// Command cfbench runs the paper-reproduction experiments (E1-E10; -list
+// prints the experiment index, and each experiment prints its own result
+// tables).
 //
 //	cfbench -list                 # enumerate experiments
 //	cfbench -exp E1 -scale 0.2    # run one at 20% scale

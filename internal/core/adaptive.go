@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"samplecf/internal/sampling"
 	"samplecf/internal/stats"
@@ -101,6 +102,13 @@ type AdaptiveResult struct {
 	// Method names how the CI was computed (CIMethodTheorem1 or
 	// CIMethodBootstrap).
 	Method string
+	// PrepDuration totals the prepare stage (encode + sort, every
+	// extension's merge included) over the loop's prepared indexes.
+	PrepDuration time.Duration
+	// Dropped lists, ascending, the arms a stratified loop dropped after
+	// Droppable failures (nil when every arm survived); the estimate and
+	// interval then compose only the survivors.
+	Dropped []int
 }
 
 // ExtendFunc supplies one more round of sampled rows, projected to the
@@ -134,6 +142,7 @@ func (p *PreparedIndex) AdaptiveEstimate(target Precision, opts Options, extend 
 		}
 		res.Rounds++
 		res.Estimate = est
+		res.PrepDuration = p.PrepDuration()
 		res.Method = ciMethodFor(opts)
 		half, err := p.ciHalfWidth(res.Method, opts, z, target, res.Rounds)
 		if err != nil {

@@ -7,8 +7,9 @@
 // internal/sampling (boundaries, directory, per-stratum resumable streams);
 // this file owns composition — weights, merged estimates, the composed
 // confidence interval z·√(Σ w_h²σ_h²) — and the precision-targeted loop
-// that extends only the strata whose variance contribution dominates, the
-// same refinement discipline the engine's shard scatter uses.
+// that extends only the strata whose variance contribution dominates. The
+// engine runs its sharded adaptive requests through the same loop: a shard
+// is an arm like a stratum.
 //
 // A note on what stratification can and cannot buy: Theorem 1's bound is
 // data-independent — composed across strata at proportional allocation it
@@ -19,6 +20,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -260,9 +262,20 @@ func EstimateStratified(arms []StratumArm, alloc []int64, opts Options) (Estimat
 	return MergeStratified(weights, ests), nil
 }
 
+// Droppable marks an arm's Extend failure as one the caller tolerates:
+// AdaptiveEstimateStratified drops such an arm, reporting it in
+// AdaptiveResult.Dropped, instead of failing — as long as an arm survives.
+// The error's message and chain are unchanged.
+func Droppable(err error) error { return droppableError{err} }
+
+type droppableError struct{ error }
+
+func (e droppableError) Unwrap() error { return e.error }
+
 // armLoop is one arm's state in a stratified adaptive estimation: its own
 // resumable stream, prepared index, and current (estimate, SD) pair.
 type armLoop struct {
+	idx    int // position in the caller's arm slice
 	arm    *StratumArm
 	prep   *PreparedIndex
 	round  int // next draw round in this arm's stream
@@ -274,15 +287,20 @@ type armLoop struct {
 }
 
 // AdaptiveEstimateStratified is the precision-targeted loop over stratified
-// arms: per-arm resumable streams, per-arm CI scales composed by stratified
-// variance (half-width z·√(Σ w_h²σ_h²)), and — the part that makes
-// stratification pay — extensions routed only to the arms whose variance
-// contribution (w_h·σ_h)² dominates the composed variance (within 2× of the
-// largest, always including the argmax), the refinement discipline of the
-// engine's sharded adaptive loop. Round 0 is allocated by the caller
+// arms — strata, shards, or shard×stratum cells alike: per-arm resumable
+// streams, per-arm CI scales composed by stratified variance (half-width
+// z·√(Σ w_h²σ_h²)), and — the part that makes stratification pay —
+// extensions routed only to the arms whose variance contribution
+// (w_h·σ_h)² dominates the composed variance (within 2× of the largest,
+// always including the argmax). Round 0 is allocated by the caller
 // (proportional: it doubles as the pilot); later rounds double the chosen
 // arms' total and split it by Neyman allocation over the pilot-observed
 // σ_h, so rows land where population mass times spread is.
+//
+// An arm whose Extend fails with a Droppable error leaves the loop — the
+// survivors' weights renormalize through the stratified algebra and
+// AdaptiveResult.Dropped names it. Any other failure, or one that would
+// leave no arm alive, fails the loop with every failed arm's error joined.
 func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precision, opts Options) (AdaptiveResult, error) {
 	if err := target.Validate(); err != nil {
 		return AdaptiveResult{}, err
@@ -305,12 +323,14 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 
 	loops := make([]*armLoop, len(arms))
 	for i := range arms {
-		loops[i] = &armLoop{arm: &arms[i], dirty: true}
+		loops[i] = &armLoop{idx: i, arm: &arms[i], dirty: true}
 	}
+	res := AdaptiveResult{}
 
 	// grow draws extra rows from one arm's resumable stream and folds them
 	// into its prepared index (the first call prepares).
-	grow := func(l *armLoop, extra int64) error {
+	grow := func(l *armLoop, extra int64) (err error) {
+		defer workgroup.Recover(&err)
 		proj, err := l.arm.Extend(l.round, extra)
 		if err != nil {
 			return err
@@ -328,30 +348,48 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	}
 
 	// scatter fans grow calls across the bounded workgroup semaphore (never
-	// an engine pool — callers may already run on a pool worker).
+	// an engine pool — callers may already run on a pool worker), then
+	// drops the Droppable failures or fails the loop.
 	scatter := func(targets []*armLoop, extras []int64) error {
 		sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
 		var wg sync.WaitGroup
 		for i, l := range targets {
-			extra := extras[i]
 			if sem.TryAcquire() {
 				wg.Add(1)
-				go func(l *armLoop) {
+				go func(l *armLoop, extra int64) {
 					defer wg.Done()
 					defer sem.Release()
-					defer workgroup.Recover(&l.err)
 					l.err = grow(l, extra)
-				}(l)
+				}(l, extras[i])
 			} else {
-				l.err = grow(l, extra)
+				l.err = grow(l, extras[i])
 			}
 		}
 		wg.Wait()
+		var errs []error
+		strict := false
 		for _, l := range targets {
 			if l.err != nil {
-				return fmt.Errorf("core: %s: %w", l.arm.Label, l.err)
+				errs = append(errs, fmt.Errorf("core: %s: %w", l.arm.Label, l.err))
+				var d droppableError
+				strict = strict || !errors.As(l.err, &d)
 			}
 		}
+		if len(errs) == 0 {
+			return nil
+		}
+		if strict || len(errs) == len(loops) {
+			return errors.Join(errs...)
+		}
+		live := loops[:0]
+		for _, l := range loops {
+			if l.err != nil {
+				res.Dropped = append(res.Dropped, l.idx)
+			} else {
+				live = append(live, l)
+			}
+		}
+		loops = live
 		return nil
 	}
 
@@ -359,7 +397,6 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 		return AdaptiveResult{}, err
 	}
 
-	res := AdaptiveResult{}
 	var cf, half float64
 	for {
 		strata := make([]stats.Stratum, len(loops))
@@ -446,6 +483,7 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	for i, l := range loops {
 		weights[i] = l.arm.Weight
 		ests[i] = l.est
+		res.PrepDuration += l.prep.PrepDuration()
 	}
 	res.Estimate = MergeStratified(weights, ests)
 	res.AchievedError = half

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"samplecf/internal/sampling"
+	"samplecf/internal/value"
 )
 
 // boundarySource wraps a RowSource with a canned IndexKeyBoundaries answer,
@@ -82,6 +85,66 @@ func TestStratifiedAdaptiveSingleStratumMatchesUnstratified(t *testing.T) {
 		t.Errorf("strata=1 adaptive (CF %v ± %v, r %d, rounds %d) != unstratified (CF %v ± %v, r %d, rounds %d)",
 			strat.Estimate.CF, strat.AchievedError, strat.Estimate.SampleRows, strat.Rounds,
 			plain.Estimate.CF, plain.AchievedError, plain.Estimate.SampleRows, plain.Rounds)
+	}
+}
+
+// TestAdaptiveStratifiedDropsDroppableArms pins the arm-drop contract: an
+// arm failing with a Droppable error leaves the loop and is reported while
+// the survivors still converge; a plain failure, or dropping every arm,
+// fails the loop with each failed arm's error joined under its label.
+func TestAdaptiveStratifiedDropsDroppableArms(t *testing.T) {
+	tab := adaptiveTable(t, "uniform", 20000, 5)
+	bounds, err := StratumBoundaries(tab, tab.Schema(), nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := StratifyTable(tab, tab.Schema(), nil, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Codec: mustCodec(t, "rle"), Seed: 5}
+	boom := errors.New("boom")
+	run := func(fail map[int]error) ([]StratumArm, AdaptiveResult, error) {
+		arms := DirectoryArms(tab, tab.Schema(), nil, dir, opts.Seed)
+		counts := make([]int64, len(arms))
+		for i := range arms {
+			counts[i] = arms[i].Rows
+		}
+		for i, err := range fail {
+			arms[i].Extend = func(int, int64) (*value.RecordArena, error) { return nil, err }
+		}
+		res, err := AdaptiveEstimateStratified(arms, sampling.Allocate(256, counts, nil),
+			Precision{TargetError: 0.05}, opts)
+		return arms, res, err
+	}
+
+	_, res, err := run(map[int]error{1: Droppable(boom)})
+	if err != nil {
+		t.Fatalf("droppable failure failed the loop: %v", err)
+	}
+	if len(res.Dropped) != 1 || res.Dropped[0] != 1 {
+		t.Errorf("Dropped = %v, want [1]", res.Dropped)
+	}
+	if !res.Converged || res.Estimate.SampleRows == 0 {
+		t.Errorf("survivors did not converge: %+v", res)
+	}
+
+	arms, _, err := run(map[int]error{1: Droppable(boom), 2: boom})
+	if err == nil || !errors.Is(err, boom) {
+		t.Fatalf("plain arm failure: err = %v, want the joined failures", err)
+	}
+	for _, i := range []int{1, 2} {
+		if !strings.Contains(err.Error(), arms[i].Label) {
+			t.Errorf("joined error does not name %q: %v", arms[i].Label, err)
+		}
+	}
+
+	all := map[int]error{}
+	for i := range arms {
+		all[i] = Droppable(boom)
+	}
+	if _, _, err := run(all); err == nil {
+		t.Error("dropping every arm succeeded")
 	}
 }
 

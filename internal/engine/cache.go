@@ -45,71 +45,98 @@ type cacheKey struct {
 // entries; real shard indices are ≥ 0.
 const wholeTable = -1
 
-// lruCache is a fixed-capacity LRU map from cacheKey to core.Estimate.
-// A zero capacity disables caching (every Get misses, Put is a no-op).
-type lruCache struct {
+// lru is the engine's one fixed-capacity LRU map, behind the result,
+// precision, strata-directory, and stale caches. Zero capacity disables
+// residency: Get always misses and Put stores nothing.
+type lru[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recent; values are *lruEntry
-	items    map[cacheKey]*list.Element
+	order    *list.List // front = most recent; values are *lruItem[K, V]
+	items    map[K]*list.Element
+	// clone, when set, copies values on the way in and out, so no caller
+	// ever aliases a resident value.
+	clone func(V) V
+	// keep, when set, lets a resident value survive a Put of v whenever
+	// keep(resident, v) holds.
+	keep func(resident, v V) bool
+	// onEvict, when set, observes each capacity eviction.
+	onEvict func()
 }
 
-type lruEntry struct {
-	key cacheKey
-	est core.Estimate
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &lruCache{
+	return &lru[K, V]{
 		capacity: capacity,
 		order:    list.New(),
-		items:    make(map[cacheKey]*list.Element, capacity),
+		items:    make(map[K]*list.Element, capacity),
 	}
 }
 
-// Get returns the cached estimate for key, refreshing its recency. The
-// estimate's frequency profile is deep-copied so concurrent hits never
-// alias one map and callers may mutate their copy freely.
-func (c *lruCache) Get(key cacheKey) (core.Estimate, bool) {
+// Get returns key's value, refreshing its recency.
+func (c *lru[K, V]) Get(key K) (V, bool) {
+	var zero V
 	if c.capacity == 0 {
-		return core.Estimate{}, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return core.Estimate{}, false
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return cloneEstimate(el.Value.(*lruEntry).est), true
+	v := el.Value.(*lruItem[K, V]).val
+	if c.clone != nil {
+		v = c.clone(v)
+	}
+	return v, true
 }
 
-// Put stores a private copy of est under key, evicting the
-// least-recently-used entry when over capacity. Returns the number of
-// evictions (0 or 1).
-func (c *lruCache) Put(key cacheKey, est core.Estimate) int {
+// Put stores v under key, refreshing its recency and evicting the
+// least-recently-used entry when over capacity. It returns the value
+// resident under key afterwards — v, or the kept incumbent (uncloned) —
+// which makes Put a get-or-create for pointer values.
+func (c *lru[K, V]) Put(key K, v V) V {
 	if c.capacity == 0 {
-		return 0
+		return v
 	}
-	est = cloneEstimate(est)
+	if c.clone != nil {
+		v = c.clone(v)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).est = est
 		c.order.MoveToFront(el)
-		return 0
+		it := el.Value.(*lruItem[K, V])
+		if c.keep == nil || !c.keep(it.val, v) {
+			it.val = v
+		}
+		return it.val
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, est: est})
-	if c.order.Len() <= c.capacity {
-		return 0
+	c.items[key] = c.order.PushFront(&lruItem[K, V]{key: key, val: v})
+	if c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruItem[K, V]).key)
+		if c.onEvict != nil {
+			c.onEvict()
+		}
 	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*lruEntry).key)
-	return 1
+	return v
+}
+
+// Len reports the current entry count.
+func (c *lru[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // precisionKey identifies the family of adaptive estimates a cached
@@ -138,7 +165,6 @@ type precisionKey struct {
 
 // precisionEntry is one cached adaptive outcome.
 type precisionEntry struct {
-	key precisionKey
 	est core.Estimate
 	// sdScale is the confidence-free size of the achieved interval: the
 	// half-width at confidence z is sdScale·z (Theorem 1: 1/(2√r);
@@ -146,90 +172,38 @@ type precisionEntry struct {
 	// entry answer requests at any confidence level.
 	sdScale float64
 	rounds  int
-	rows    int64
 }
 
-// precisionCache is the adaptive complement of lruCache: a fixed-capacity
-// LRU over precisionKey holding, per key, the tightest estimate achieved so
-// far. Lookups are by dominance — a request is a hit when the stored
-// interval, rescaled to the request's confidence, is within the requested
-// target error — so an entry computed at ±1% keeps satisfying ±5% traffic
-// without resampling. Zero capacity disables it.
-type precisionCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *precisionEntry
-	items    map[precisionKey]*list.Element
+// newPrecisionCache is the adaptive complement of the result cache: per
+// precisionKey it holds the tightest estimate achieved so far — a looser
+// result never replaces a tighter one, since dominance is one-directional.
+// Lookups go through precisionHit.
+func newPrecisionCache(capacity int) *lru[precisionKey, precisionEntry] {
+	c := newLRU[precisionKey, precisionEntry](capacity)
+	c.clone = func(ent precisionEntry) precisionEntry {
+		ent.est = cloneEstimate(ent.est)
+		return ent
+	}
+	c.keep = func(resident, ent precisionEntry) bool { return resident.sdScale <= ent.sdScale }
+	return c
 }
 
-func newPrecisionCache(capacity int) *precisionCache {
-	if capacity < 0 {
-		capacity = 0
+// precisionHit answers an adaptive request from the precision cache by
+// dominance: a hit when the stored interval, rescaled to the request's
+// confidence, is within the requested target error.
+func (e *Engine) precisionHit(pk precisionKey, req Request) (Result, bool) {
+	z := zFor(req.Confidence)
+	ent, ok := e.precision.Get(pk)
+	if !ok || ent.sdScale*z > req.TargetError {
+		return Result{}, false
 	}
-	return &precisionCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[precisionKey]*list.Element, capacity),
-	}
-}
-
-// Get returns the cached entry for key if it dominates a request with the
-// given z multiplier and target half-width.
-func (c *precisionCache) Get(key precisionKey, z, targetError float64) (precisionEntry, bool) {
-	if c.capacity == 0 {
-		return precisionEntry{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return precisionEntry{}, false
-	}
-	ent := el.Value.(*precisionEntry)
-	if ent.sdScale*z > targetError {
-		return precisionEntry{}, false // cached interval too loose for this ask
-	}
-	c.order.MoveToFront(el)
-	out := *ent
-	out.est = cloneEstimate(ent.est)
-	return out, true
-}
-
-// Put stores an adaptive outcome, keeping the tightest sdScale per key.
-// Returns the number of evictions (0 or 1).
-func (c *precisionCache) Put(key precisionKey, est core.Estimate, sdScale float64, rounds int, rows int64) int {
-	if c.capacity == 0 {
-		return 0
-	}
-	ent := &precisionEntry{key: key, est: cloneEstimate(est), sdScale: sdScale, rounds: rounds, rows: rows}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		if old := el.Value.(*precisionEntry); old.sdScale <= sdScale {
-			// The resident entry is at least as tight; a looser result
-			// never replaces it (dominance is one-directional).
-			c.order.MoveToFront(el)
-			return 0
-		}
-		el.Value = ent
-		c.order.MoveToFront(el)
-		return 0
-	}
-	c.items[key] = c.order.PushFront(ent)
-	if c.order.Len() <= c.capacity {
-		return 0
-	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*precisionEntry).key)
-	return 1
-}
-
-// Len reports the current entry count.
-func (c *precisionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	return Result{
+		Estimate:      ent.est,
+		CacheHit:      true,
+		AchievedError: ent.sdScale * z,
+		Rounds:        ent.rounds,
+		Converged:     true,
+	}, true
 }
 
 // cloneEstimate copies the one mutable field of an Estimate (the profile's
@@ -241,11 +215,4 @@ func cloneEstimate(est core.Estimate) core.Estimate {
 	}
 	est.Profile.F = f
 	return est
-}
-
-// Len reports the current entry count.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -249,42 +250,80 @@ func TestChaosDegradedHalfWidthFormula(t *testing.T) {
 	}
 }
 
-// TestChaosAdaptiveDegraded proves the sharded adaptive loop degrades the
-// same way: a persistently failing arm drops out under AllowPartial, the
-// surviving arms converge with renormalized weights, the failed shard is
-// reported, and the degraded interval never enters the precision cache.
-func TestChaosAdaptiveDegraded(t *testing.T) {
-	armChaos(t, "engine.scatter[1]:err@1+", 1)
+// TestChaosAdaptiveTransientFaultHealsByRetry proves retries cover the
+// arm draws of a sharded adaptive loop too: a shard's fault on its first
+// draw is retried on the same round stream, so the request comes back
+// undegraded and identical to the unfaulted run, with the retry counted.
+func TestChaosAdaptiveTransientFaultHealsByRetry(t *testing.T) {
 	d := db.New(0)
-	st := liveShardedTable(t, d, "t", 3, 1000)
-	e := chaosEngine(t, Config{Workers: 2})
+	st := liveShardedTable(t, d, "t", 4, 500)
 	req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
-		Seed: 11, TargetError: 0.05}
-
-	strict := e.Estimate(context.Background(), req)
-	if strict.Err == nil || !strings.Contains(strict.Err.Error(), "shard 1") {
-		t.Fatalf("strict adaptive error = %v, want joined error naming shard 1", strict.Err)
+		Seed: 3, TargetError: 0.05}
+	clean := chaosEngine(t, Config{Workers: 2}).Estimate(context.Background(), req)
+	if clean.Err != nil {
+		t.Fatal(clean.Err)
 	}
 
-	req.AllowPartial = true
+	armChaos(t, "engine.scatter[1]:err@1", 1)
+	e := chaosEngine(t, Config{Workers: 2})
 	res := e.Estimate(context.Background(), req)
 	if res.Err != nil {
-		t.Fatalf("partial adaptive failed: %v", res.Err)
+		t.Fatalf("transient fault was not healed: %v", res.Err)
 	}
-	if !res.Degraded || len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
-		t.Fatalf("Degraded=%v ShardsFailed=%v, want degraded [1]", res.Degraded, res.ShardsFailed)
+	if res.Degraded {
+		t.Error("healed request reported Degraded")
 	}
-	if res.AchievedError <= 0 {
-		t.Errorf("degraded adaptive reports no interval: %v", res.AchievedError)
+	if res.Estimate.CF != clean.Estimate.CF || res.Estimate.SampleRows != clean.Estimate.SampleRows {
+		t.Errorf("healed estimate (CF %v, r %d) != unfaulted (CF %v, r %d)",
+			res.Estimate.CF, res.Estimate.SampleRows, clean.Estimate.CF, clean.Estimate.SampleRows)
 	}
+	if got := e.Stats().ShardRetries; got == 0 {
+		t.Error("retry ledger empty despite a healed transient fault")
+	}
+}
 
-	// Never cached: the repeat recomputes instead of a precision hit.
-	res2 := e.Estimate(context.Background(), req)
-	if res2.CacheHit {
-		t.Error("degraded adaptive result served from the precision cache")
-	}
-	if e.Stats().PrecisionHits != 0 {
-		t.Errorf("precision hits = %d, want 0", e.Stats().PrecisionHits)
+// TestChaosAdaptiveDegraded proves the sharded adaptive loop degrades the
+// same way, with or without strata: a persistently failing shard's arms
+// (the whole shard, or each of its shard×stratum cells) drop out under
+// AllowPartial, the surviving arms converge with renormalized weights,
+// the failed shard is reported once, and the degraded interval never
+// enters the precision cache.
+func TestChaosAdaptiveDegraded(t *testing.T) {
+	for _, strata := range []int{0, 4} {
+		t.Run(fmt.Sprintf("strata=%d", strata), func(t *testing.T) {
+			armChaos(t, "engine.scatter[1]:err@1+", 1)
+			d := db.New(0)
+			st := liveShardedTable(t, d, "t", 3, 1000)
+			e := chaosEngine(t, Config{Workers: 2})
+			req := Request{Table: st, Codec: mustCodec(t), KeyColumns: []string{"city"},
+				Seed: 11, TargetError: 0.05, Strata: strata}
+
+			strict := e.Estimate(context.Background(), req)
+			if strict.Err == nil || !strings.Contains(strict.Err.Error(), "shard 1") {
+				t.Fatalf("strict adaptive error = %v, want joined error naming shard 1", strict.Err)
+			}
+
+			req.AllowPartial = true
+			res := e.Estimate(context.Background(), req)
+			if res.Err != nil {
+				t.Fatalf("partial adaptive failed: %v", res.Err)
+			}
+			if !res.Degraded || len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != 1 {
+				t.Fatalf("Degraded=%v ShardsFailed=%v, want degraded [1]", res.Degraded, res.ShardsFailed)
+			}
+			if res.AchievedError <= 0 {
+				t.Errorf("degraded adaptive reports no interval: %v", res.AchievedError)
+			}
+
+			// Never cached: the repeat recomputes instead of a precision hit.
+			res2 := e.Estimate(context.Background(), req)
+			if res2.CacheHit {
+				t.Error("degraded adaptive result served from the precision cache")
+			}
+			if e.Stats().PrecisionHits != 0 {
+				t.Errorf("precision hits = %d, want 0", e.Stats().PrecisionHits)
+			}
+		})
 	}
 }
 

@@ -305,10 +305,10 @@ type Stats struct {
 // with Close. All methods are safe for concurrent use.
 type Engine struct {
 	cfg        Config
-	cache      *lruCache
-	precision  *precisionCache
-	strataDirs *strataCache
-	stale      *staleCache
+	cache      *lru[cacheKey, core.Estimate]
+	precision  *lru[precisionKey, precisionEntry]
+	strataDirs *lru[dirKey, *dirEntry]
+	stale      *lru[any, Result]
 	flights    flightGroup
 	registry   *obs.Registry
 
@@ -339,7 +339,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		cache:      newLRUCache(cfg.CacheEntries),
+		cache:      newLRU[cacheKey, core.Estimate](cfg.CacheEntries),
 		precision:  newPrecisionCache(cfg.CacheEntries),
 		strataDirs: newStrataCache(cfg.CacheEntries),
 		stale:      newStaleCache(cfg.CacheEntries),
@@ -349,6 +349,10 @@ func New(cfg Config) *Engine {
 		quit:       make(chan struct{}),
 		metrics:    newMetrics(reg),
 	}
+	// Result-cache hits are deep-copied so concurrent hits never alias one
+	// frequency profile and callers may mutate their copy freely.
+	e.cache.clone = cloneEstimate
+	e.cache.onEvict = func() { e.evictions.Add(1) }
 	reg.GaugeFunc(MetricCacheEntries, "Entries resident in the LRU result cache.",
 		func() int64 { return int64(e.cache.Len()) })
 	reg.GaugeFunc(MetricPrecisionEntries, "Entries resident in the precision dominance cache.",
@@ -483,7 +487,7 @@ type adaptiveGroupKey struct {
 type adaptiveGroup struct {
 	once sync.Once
 	res  core.AdaptiveResult
-	// failed lists the shard indices a degraded sharded loop dropped
+	// failed lists the shard indices a degraded arm-set loop dropped
 	// (AllowPartial only; empty for full results).
 	failed []int
 	err    error
@@ -529,6 +533,9 @@ type batchItem struct {
 	pkey precisionKey
 	ag   *adaptiveGroup
 	r0g  *round0Group
+	// pageSize is the request's effective page size (the engine default
+	// when Request.PageSize is zero), resolved once in WhatIf.
+	pageSize int
 	// shards, when non-nil, marks a scattered fixed-r request over a
 	// partitioned table: one work unit per non-empty shard, some possibly
 	// pre-answered from the per-shard cache.
@@ -588,19 +595,13 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			if sh, ok := req.Table.(catalog.Sharded); ok {
 				pk.epochs = packEpochs(sh.EpochVector())
 			}
-			if ent, ok := e.precision.Get(pk, zFor(req.Confidence), req.TargetError); ok {
+			if res, ok := e.precisionHit(pk, req); ok {
 				// A dominance answer counts in both ledgers: Hits keeps
 				// hits/misses symmetric across fixed and adaptive traffic,
 				// PrecisionHits attributes it to the dominance rule.
 				e.hits.Add(1)
 				e.precisionHits.Add(1)
-				results[i] = Result{
-					Estimate:      ent.est,
-					CacheHit:      true,
-					AchievedError: ent.sdScale * zFor(req.Confidence),
-					Rounds:        ent.rounds,
-					Converged:     true,
-				}
+				results[i] = res
 				continue
 			}
 			e.misses.Add(1)
@@ -616,7 +617,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			}
 			var r0g *round0Group
 			if _, sharded := req.Table.(catalog.Sharded); !sharded && req.Strata == 0 {
-				// Sharded and stratified adaptive loops draw per-arm round-0
+				// Arm-set loops (sharded or stratified) draw per-arm round-0
 				// samples inside the loop itself; only plain unsharded loops
 				// share the whole-table round-0 arena.
 				rk := round0Key{
@@ -630,7 +631,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 					round0Groups[rk] = r0g
 				}
 			}
-			pending = append(pending, &batchItem{idx: i, req: req, pkey: pk, ag: ag, r0g: r0g})
+			pending = append(pending, &batchItem{idx: i, req: req, pageSize: pageSize, pkey: pk, ag: ag, r0g: r0g})
 			continue
 		}
 		n := req.Table.NumRows()
@@ -667,7 +668,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 				continue
 			}
 			e.misses.Add(1)
-			pending = append(pending, &batchItem{idx: i, req: req, key: key, stratified: true})
+			pending = append(pending, &batchItem{idx: i, req: req, pageSize: pageSize, key: key, stratified: true})
 			continue
 		}
 		if sh, ok := req.Table.(catalog.Sharded); ok {
@@ -718,7 +719,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			prepGroups[pk] = pg
 		}
 		pg.members++
-		pending = append(pending, &batchItem{idx: i, req: req, key: key, sg: sg, pg: pg})
+		pending = append(pending, &batchItem{idx: i, req: req, pageSize: pageSize, key: key, sg: sg, pg: pg})
 	}
 
 	var wg sync.WaitGroup
@@ -815,7 +816,28 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 	if it.shards != nil {
 		return e.evaluateScatter(ctx, it)
 	}
-	sg := it.sg
+	est, err := e.computeFixed(ctx, it.sg, it.pg, it.req.Codec, it.pageSize)
+	if err != nil {
+		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
+	}
+	e.evaluated.Add(1)
+	shared := it.sg.members > 1
+	if shared {
+		e.samplesShared.Add(1)
+	}
+	_, endCache := obs.StartSpan(ctx, "cache")
+	e.cache.Put(it.key, est)
+	endCache.End()
+	return Result{Estimate: est, SharedSample: shared}
+}
+
+// computeFixed is the fixed-r work-unit body shared by whole-table items
+// and shard work units: draw (or reuse) the sample group, build (or reuse)
+// its sorted index, and compress with the codec. Both once-closures trap
+// their own panics: sync.Once marks a panicking closure done, so without
+// the trap batch-mates would see a "done" group with neither result nor
+// error.
+func (e *Engine) computeFixed(ctx context.Context, sg *sampleGroup, pg *prepGroup, codec compress.Codec, pageSize int) (core.Estimate, error) {
 	sg.once.Do(func() {
 		_, end := obs.StartSpan(ctx, stageDraw)
 		t0 := time.Now()
@@ -824,14 +846,9 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		end.End()
 	})
 	if sg.err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: sampling: %w", it.idx, sg.err)}
+		return core.Estimate{}, fmt.Errorf("sampling: %w", sg.err)
 	}
-	pg := it.pg
 	pg.once.Do(func() {
-		// The trap must live INSIDE the once closure: sync.Once marks the
-		// closure done even when it panics, so without it a panicking
-		// build would leave batch-mates a "done" group with nil prep and
-		// nil err.
 		defer e.trapShardPanic(&pg.err)
 		_, end := obs.StartSpan(ctx, stageSort)
 		defer end.End()
@@ -845,31 +862,14 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 		}
 	})
 	if pg.err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: prepare index: %w", it.idx, pg.err)}
-	}
-	pageSize := it.req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
+		return core.Estimate{}, fmt.Errorf("prepare index: %w", pg.err)
 	}
 	_, endCompress := obs.StartSpan(ctx, stageCompress)
 	t0 := time.Now()
-	est, err := pg.prep.Estimate(core.Options{Codec: it.req.Codec, PageSize: pageSize})
+	est, err := pg.prep.Estimate(core.Options{Codec: codec, PageSize: pageSize})
 	e.stageCompressHist.Observe(time.Since(t0))
 	endCompress.End()
-	if err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
-	}
-	e.evaluated.Add(1)
-	shared := sg.members > 1
-	if shared {
-		e.samplesShared.Add(1)
-	}
-	_, endCache := obs.StartSpan(ctx, "cache")
-	if ev := e.cache.Put(it.key, est); ev > 0 {
-		e.evictions.Add(uint64(ev))
-	}
-	endCache.End()
-	return Result{Estimate: est, SharedSample: shared}
+	return est, err
 }
 
 // drawSample fills a sample group's arena, preferring the table's
@@ -960,17 +960,14 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		// error for the whole group, not a "done" group with neither
 		// result nor error.
 		defer e.trapShardPanic(&ag.err)
-		if it.req.Strata > 0 {
-			// Stratified loops (sharded or not) build their arm set from
-			// the strata directories; shard composition happens inside.
-			ag.res, ag.err = e.runStratifiedAdaptive(ctx, it.req, it.pkey)
+		if it.r0g == nil {
+			// WhatIf shares round 0 only among plain unsharded loops;
+			// stratified and sharded loops run as arm sets — one arm per
+			// stratum, shard, or shard×stratum cell.
+			ag.res, ag.failed, ag.err = e.runArmsAdaptive(ctx, it)
 			return
 		}
-		if sh, ok := it.req.Table.(catalog.Sharded); ok {
-			ag.res, ag.failed, ag.err = e.runShardedAdaptive(ctx, it.req, it.pkey, sh)
-			return
-		}
-		ag.res, ag.err = e.runAdaptive(ctx, it.req, it.pkey, it.r0g)
+		ag.res, ag.err = e.runAdaptive(ctx, it)
 	})
 	if ag.err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, ag.err)}
@@ -987,6 +984,20 @@ func (e *Engine) evaluateAdaptive(ctx context.Context, it *batchItem) Result {
 		out.ShardsFailed = append([]int(nil), ag.failed...)
 	}
 	return out
+}
+
+// precisionTarget is an adaptive request's accuracy target, its row
+// budget defaulting to the table size.
+func precisionTarget(req Request) core.Precision {
+	target := core.Precision{
+		TargetError:   req.TargetError,
+		Confidence:    req.Confidence,
+		MaxSampleRows: req.MaxSampleRows,
+	}
+	if target.MaxSampleRows == 0 {
+		target.MaxSampleRows = req.Table.NumRows()
+	}
+	return target
 }
 
 // initialAdaptiveRows resolves an adaptive request's round-0 size:
@@ -1019,31 +1030,20 @@ func initialAdaptiveRows(req Request) int64 {
 // with the budget capped at the reservoir size, and only if that capped
 // budget runs out unconverged does the request rerun fresh against storage
 // with the full budget — the common converging case never touches storage.
-func (e *Engine) runAdaptive(ctx context.Context, req Request, pkey precisionKey, r0g *round0Group) (core.AdaptiveResult, error) {
-	pageSize := req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
-	}
-	n := req.Table.NumRows()
-	target := core.Precision{
-		TargetError:   req.TargetError,
-		Confidence:    req.Confidence,
-		MaxSampleRows: req.MaxSampleRows,
-	}
-	if target.MaxSampleRows == 0 {
-		target.MaxSampleRows = n
-	}
+func (e *Engine) runAdaptive(ctx context.Context, it *batchItem) (core.AdaptiveResult, error) {
+	req, r0g := it.req, it.r0g
+	target := precisionTarget(req)
 	opts := core.Options{
 		Codec:      req.Codec,
 		KeyColumns: req.KeyColumns,
-		PageSize:   pageSize,
+		PageSize:   it.pageSize,
 		Seed:       req.Seed,
 	}
 	r0 := initialAdaptiveRows(req)
 	r0g.once.Do(func() {
 		_, end := obs.StartSpan(ctx, stageDraw)
 		t0 := time.Now()
-		e.drawAdaptiveRound0(req, pkey.epoch, r0, r0g)
+		e.drawAdaptiveRound0(req, it.pkey.epoch, r0, r0g)
 		e.stageDrawHist.Observe(time.Since(t0))
 		end.End()
 	})
@@ -1096,7 +1096,9 @@ func (e *Engine) runAdaptive(ctx context.Context, req Request, pkey precisionKey
 	// Publish the achieved precision for dominance reuse: the interval is
 	// stored confidence-free (half-width ÷ z) so one entry answers asks at
 	// any confidence level.
-	e.precision.Put(pkey, res.Estimate, res.AchievedError/zFor(req.Confidence), res.Rounds, res.Estimate.SampleRows)
+	e.precision.Put(it.pkey, precisionEntry{
+		est: res.Estimate, sdScale: res.AchievedError / zFor(req.Confidence), rounds: res.Rounds,
+	})
 	return res, nil
 }
 
@@ -1203,7 +1205,7 @@ func (e *Engine) adaptiveLoop(ctx context.Context, req Request, opts core.Option
 	e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
 	// PrepDuration and SampleRows here include every extension round's
 	// incremental sort+merge, so the prepare ledger covers adaptive growth.
-	e.prepareNanos.Add(uint64(prep.PrepDuration().Nanoseconds()))
+	e.prepareNanos.Add(uint64(res.PrepDuration.Nanoseconds()))
 	e.sortRows.Add(uint64(prep.SampleRows()))
 	return res, nil
 }

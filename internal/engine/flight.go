@@ -166,15 +166,8 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight, it *batchItem) Resu
 // already counted as a miss.
 func (e *Engine) evaluateRechecked(ctx context.Context, it *batchItem) Result {
 	if it.req.TargetError > 0 {
-		z := zFor(it.req.Confidence)
-		if ent, ok := e.precision.Get(it.pkey, z, it.req.TargetError); ok {
-			return Result{
-				Estimate:      ent.est,
-				CacheHit:      true,
-				AchievedError: ent.sdScale * z,
-				Rounds:        ent.rounds,
-				Converged:     true,
-			}
+		if res, ok := e.precisionHit(it.pkey, it.req); ok {
+			return res
 		}
 	} else if est, ok := e.cache.Get(it.key); ok {
 		return Result{Estimate: est, CacheHit: true}

@@ -12,11 +12,12 @@
 //   - panic traps at every goroutine boundary the engine owns (pool
 //     workers, shard fan-outs, once-group closures) convert panics into
 //     per-item errors carrying the injection point and stack;
-//   - failed shards retry with capped jittered backoff before the
-//     request gives up on them (transient faults heal invisibly);
-//   - Request.AllowPartial lets a scattered request survive persistently
-//     failed shards: the survivors merge under renormalized stratified
-//     weights and the result reports Degraded with a widened interval;
+//   - failed shard work units and adaptive arm draws retry with capped
+//     jittered backoff before the request gives up on them (transient
+//     faults heal invisibly);
+//   - Request.AllowPartial lets a request over a partitioned table
+//     survive persistently failed shards: the survivors merge under
+//     renormalized stratified weights and the result reports Degraded;
 //   - a per-(table instance, codec) circuit breaker trips after
 //     consecutive full failures and serves the last good estimate stale
 //     (Result.Stale) while one probe per cooldown revalidates in the
@@ -24,22 +25,22 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
+	"samplecf/internal/core"
 	"samplecf/internal/faults"
 	"samplecf/internal/rng"
 	"samplecf/internal/stats"
+	"samplecf/internal/value"
 )
 
-// scatterPoint fires at the top of every per-shard work unit (fixed
-// scatter and adaptive arm growth alike); its argument is the shard
+// scatterPoint fires at the top of every per-shard work unit and every
+// adaptive shard arm's draw (guardArms); its argument is the shard
 // index, so a schedule like "engine.scatter[1]:err@1+" poisons exactly
 // one shard persistently.
 var scatterPoint = faults.Register("engine.scatter")
@@ -95,6 +96,65 @@ func backoffSleep(ctx context.Context, jit *rng.RNG, d time.Duration) bool {
 		return true
 	case <-ctx.Done():
 		return false
+	}
+}
+
+// retry runs attempt, then re-runs it up to RetryMax times while it reports
+// retryable failures, with a capped, jittered, ctx-aware backoff before
+// each re-run. attempt returns how many work units failed retryably (each
+// re-run counts them in ShardRetries); retry tells it when it is re-running.
+func (e *Engine) retry(ctx context.Context, seed uint64, attempt func(retry bool) int) {
+	backoff := e.cfg.RetryBackoff
+	jit := rng.New(seed ^ retryJitterSalt)
+	failed := attempt(false)
+	for i := 0; i < e.cfg.RetryMax && failed > 0; i++ {
+		if !backoffSleep(ctx, jit, backoff) {
+			return
+		}
+		e.shardRetries.Add(uint64(failed))
+		failed = attempt(true)
+		backoff = min(2*backoff, e.cfg.RetryBackoffCap)
+	}
+}
+
+// retryJitterSalt decorrelates the retry backoff stream from the sample
+// streams derived from the same request seed.
+const retryJitterSalt = 0x5ca77e27e7121e55
+
+// guardArms writes the engine's resilience once, at the arm boundary of an
+// adaptive arm set: every Extend draw checks ctx, fires the
+// engine.scatter[shard] fault point (shard arms only; shardOf is parallel
+// to arms, wholeTable for an unsharded table's strata), runs under the
+// panic trap, and retries with backoff. When partial is set, a draw still
+// failing after its retries is marked core.Droppable, so the loop drops
+// the arm instead of failing the request.
+func (e *Engine) guardArms(ctx context.Context, arms []core.StratumArm, shardOf []int, partial bool) {
+	for i := range arms {
+		ext, shard, seed := arms[i].Extend, shardOf[i], arms[i].Seed
+		draw := func(round int, extra int64) (ar *value.RecordArena, err error) {
+			defer e.trapShardPanic(&err)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if shard != wholeTable {
+				if err := scatterPoint.Check1(uint64(shard)); err != nil {
+					return nil, err
+				}
+			}
+			return ext(round, extra)
+		}
+		arms[i].Extend = func(round int, extra int64) (ar *value.RecordArena, err error) {
+			e.retry(ctx, seed, func(bool) int {
+				if ar, err = draw(round, extra); retryable(err) {
+					return 1
+				}
+				return 0
+			})
+			if partial && retryable(err) {
+				err = core.Droppable(err)
+			}
+			return ar, err
+		}
 	}
 }
 
@@ -198,71 +258,17 @@ func (e *Engine) breakerClearProbe(k breakerKey) {
 	}
 }
 
-// staleEntry is the last fully-successful outcome for one epoch-free
-// request identity — what the breaker serves while open.
-type staleEntry struct {
-	res Result
-}
-
-// staleCache is a fixed-capacity LRU over epoch-free request identities
-// (cacheKey for fixed/stratified requests, precisionKey for adaptive ones
-// — distinct types, so the key spaces cannot collide in the any-keyed
-// map). It holds the last good estimate per identity for the breaker's
-// stale-while-revalidate path; zero capacity disables it.
-type staleCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *staleListEntry
-	items    map[any]*list.Element
-}
-
-type staleListEntry struct {
-	key any
-	ent staleEntry
-}
-
-func newStaleCache(capacity int) *staleCache {
-	if capacity < 0 {
-		capacity = 0
+// newStaleCache holds the last fully-successful result per epoch-free
+// request identity (cacheKey for fixed/stratified requests, precisionKey
+// for adaptive ones — distinct types, so the key spaces cannot collide in
+// the any-keyed map): what the breaker serves while open.
+func newStaleCache(capacity int) *lru[any, Result] {
+	c := newLRU[any, Result](capacity)
+	c.clone = func(res Result) Result {
+		res.Estimate = cloneEstimate(res.Estimate)
+		return res
 	}
-	return &staleCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[any]*list.Element, capacity),
-	}
-}
-
-func (c *staleCache) Get(key any) (staleEntry, bool) {
-	if c.capacity == 0 {
-		return staleEntry{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return staleEntry{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*staleListEntry).ent, true
-}
-
-func (c *staleCache) Put(key any, ent staleEntry) {
-	if c.capacity == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*staleListEntry).ent = ent
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&staleListEntry{key: key, ent: ent})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*staleListEntry).key)
-	}
+	return c
 }
 
 // staleKeyFor derives the epoch-free identity of a request: the exact
@@ -275,10 +281,6 @@ func (e *Engine) staleKeyFor(it *batchItem) any {
 		pk.epoch, pk.epochs = 0, ""
 		return pk
 	}
-	pageSize := it.req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
-	}
 	return cacheKey{
 		inst:     it.req.Table.InstanceID(),
 		columns:  strings.Join(it.req.KeyColumns, "\x00"),
@@ -286,7 +288,7 @@ func (e *Engine) staleKeyFor(it *batchItem) any {
 		fraction: it.req.Fraction,
 		rows:     it.req.SampleRows,
 		seed:     it.req.Seed,
-		pageSize: pageSize,
+		pageSize: it.pageSize,
 		fresh:    it.req.FreshSample,
 		shard:    wholeTable,
 		strata:   it.req.Strata,
@@ -296,12 +298,10 @@ func (e *Engine) staleKeyFor(it *batchItem) any {
 // staleResult serves the last good estimate for the item's epoch-free
 // identity, marked Stale, or reports none exists.
 func (e *Engine) staleResult(it *batchItem) (Result, bool) {
-	ent, ok := e.stale.Get(e.staleKeyFor(it))
+	res, ok := e.stale.Get(e.staleKeyFor(it))
 	if !ok {
 		return Result{}, false
 	}
-	res := ent.res
-	res.Estimate = cloneEstimate(res.Estimate)
 	res.Stale = true
 	e.staleServed.Add(1)
 	return res, true
@@ -356,12 +356,12 @@ func (e *Engine) noteOutcome(it *batchItem, res Result) {
 		e.breakerClearProbe(bk)
 	default:
 		e.breakerRecordSuccess(bk)
-		e.stale.Put(e.staleKeyFor(it), staleEntry{res: Result{
-			Estimate:      cloneEstimate(res.Estimate),
+		e.stale.Put(e.staleKeyFor(it), Result{
+			Estimate:      res.Estimate,
 			AchievedError: res.AchievedError,
 			Rounds:        res.Rounds,
 			Converged:     res.Converged,
-		}})
+		})
 	}
 }
 

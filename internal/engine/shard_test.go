@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"samplecf/internal/db"
+	"samplecf/internal/sampling"
 	"samplecf/internal/value"
 )
 
@@ -44,11 +45,12 @@ func liveShardedTable(t testing.TB, d *db.Database, name string, shards, rowsPer
 	return st
 }
 
-// TestAllocateRows pins the largest-remainder allocation: proportionality,
-// exact total, the one-row floor for non-empty shards, empty shards get
-// nothing, and the single-shard identity.
+// TestAllocateRows pins the largest-remainder allocation the scatter and
+// the shard arms split r by (sampling.Allocate, proportional): exact
+// proportions, exact total, the one-row floor for non-empty shards, empty
+// shards get nothing, and the single-shard identity.
 func TestAllocateRows(t *testing.T) {
-	got := allocateRows(100, []int64{300, 100, 0, 600})
+	got := sampling.Allocate(100, []int64{300, 100, 0, 600}, nil)
 	if got[2] != 0 {
 		t.Errorf("empty shard allocated %d rows", got[2])
 	}
@@ -57,20 +59,20 @@ func TestAllocateRows(t *testing.T) {
 	}
 	// Remainders distribute to the largest fractional parts and the total
 	// is exact when r >= non-empty shards.
-	got = allocateRows(10, []int64{1, 1, 1})
+	got = sampling.Allocate(10, []int64{1, 1, 1}, nil)
 	if got[0]+got[1]+got[2] != 10 {
 		t.Errorf("allocation %v does not sum to 10", got)
 	}
 	// One-row floor: more shards than rows overshoots rather than leaving
 	// a stratum uncovered.
-	got = allocateRows(2, []int64{10, 10, 10, 10})
+	got = sampling.Allocate(2, []int64{10, 10, 10, 10}, nil)
 	for h, r := range got {
 		if r < 1 {
 			t.Errorf("shard %d allocated %d rows; floor is 1", h, r)
 		}
 	}
 	// Single shard takes everything.
-	got = allocateRows(500, []int64{999})
+	got = sampling.Allocate(500, []int64{999}, nil)
 	if got[0] != 500 {
 		t.Errorf("single shard allocated %d, want 500", got[0])
 	}
@@ -127,6 +129,48 @@ func TestScatterMatchesUnsharded(t *testing.T) {
 	}
 	if fsum != rm.Estimate.Profile.D {
 		t.Errorf("merged profile: sum F = %d, D = %d", fsum, rm.Estimate.Profile.D)
+	}
+}
+
+// TestConfigPageSizeReachesEveryRoute pins page-size resolution: a
+// request leaving PageSize zero gets the engine's Config.PageSize on the
+// plain, scatter, stratified, and arm-set adaptive routes alike — the same
+// answer as the request naming that page size on a default engine.
+func TestConfigPageSizeReachesEveryRoute(t *testing.T) {
+	d := db.New(0)
+	plain := liveTable(t, d, "plain", 3000)
+	sharded := liveShardedTable(t, d, "sharded", 3, 1000)
+	small := New(Config{Workers: 2, PageSize: 1024, CacheEntries: -1})
+	defer small.Close()
+	def := New(Config{Workers: 2, CacheEntries: -1})
+	defer def.Close()
+	base := Request{Codec: mustCodec(t), KeyColumns: []string{"city"}, Seed: 5, FreshSample: true}
+	routes := map[string]Request{
+		"plain":    {Table: plain, SampleRows: 400},
+		"scatter":  {Table: sharded, SampleRows: 400},
+		"strata":   {Table: plain, SampleRows: 400, Strata: 2},
+		"adaptive": {Table: sharded, TargetError: 0.05},
+	}
+	for name, r := range routes {
+		req := base
+		req.Table, req.SampleRows, req.Strata, req.TargetError = r.Table, r.SampleRows, r.Strata, r.TargetError
+		got := small.Estimate(context.Background(), req)
+		dflt := def.Estimate(context.Background(), req)
+		req.PageSize = 1024
+		want := def.Estimate(context.Background(), req)
+		for _, res := range []Result{got, dflt, want} {
+			if res.Err != nil {
+				t.Fatalf("%s: %v", name, res.Err)
+			}
+		}
+		g, w := got.Estimate.Result, want.Estimate.Result
+		if g.Pages != w.Pages || g.CompressedBytes != w.CompressedBytes || g.UncompressedBytes != w.UncompressedBytes {
+			t.Errorf("%s: Config.PageSize gave %d pages %d/%d bytes, explicit PageSize %d pages %d/%d bytes",
+				name, g.Pages, g.CompressedBytes, g.UncompressedBytes, w.Pages, w.CompressedBytes, w.UncompressedBytes)
+		}
+		if got.Estimate.Result.Pages == dflt.Estimate.Result.Pages {
+			t.Errorf("%s: %d pages at 1KiB and at the default size; the check cannot tell them apart", name, got.Estimate.Result.Pages)
+		}
 	}
 }
 
@@ -238,6 +282,58 @@ func TestShardedAdaptive(t *testing.T) {
 	}
 	if r3.CacheHit {
 		t.Error("adaptive entry survived a mutation")
+	}
+}
+
+// TestShardedAdaptiveCounters pins the work ledger of a sharded adaptive
+// estimate: one prepared index and one draw stream per non-empty shard,
+// every sampled row sorted, prepare time recorded, and the adaptive
+// rounds/rows totals matching the result.
+func TestShardedAdaptiveCounters(t *testing.T) {
+	d := db.New(0)
+	schema, err := value.NewSchema(
+		value.Column{Name: "city", Type: value.Char(16)},
+		value.Column{Name: "seq", Type: value.Int32()},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four range shards over seq; rows fill only the first three.
+	st, err := d.CreateShardedTable("t", schema, db.ShardSpec{
+		Shards: 4, Column: "seq", By: db.ShardByRange,
+		Bounds: [][]byte{value.IntValue(1000), value.IntValue(2000), value.IntValue(3000)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := st.Insert(value.Row{value.StringValue(fmt.Sprintf("city-%02d", i%64)), value.IntValue(int32(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	res := e.Estimate(context.Background(), Request{Table: st, Codec: mustCodec(t),
+		KeyColumns: []string{"city"}, Seed: 11, TargetError: 0.04})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	got := e.Stats()
+	rows := uint64(res.Estimate.SampleRows)
+	if got.IndexesPrepared != 3 {
+		t.Errorf("IndexesPrepared = %d, want 3 (one per non-empty shard)", got.IndexesPrepared)
+	}
+	if got.SamplesDrawn != 3 {
+		t.Errorf("SamplesDrawn = %d, want 3 (one stream per non-empty shard)", got.SamplesDrawn)
+	}
+	if got.SortRows != rows {
+		t.Errorf("SortRows = %d, want the %d sampled rows", got.SortRows, rows)
+	}
+	if got.PrepareNanos == 0 {
+		t.Error("PrepareNanos = 0 after a sharded adaptive estimate")
+	}
+	if got.AdaptiveRounds != uint64(res.Rounds) || got.AdaptiveRows != rows {
+		t.Errorf("AdaptiveRounds/Rows = %d/%d, want %d/%d", got.AdaptiveRounds, got.AdaptiveRows, res.Rounds, rows)
 	}
 }
 

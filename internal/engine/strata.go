@@ -9,13 +9,18 @@
 // table stratifies within each shard, the shard×stratum cells becoming one
 // flat arm set with weights rescaled to the whole table.
 //
+// Arm sets are also how the engine runs every sharded or stratified
+// precision-targeted request: a shard is an arm like a stratum, so
+// runArmsAdaptive drives them all through core.AdaptiveEstimateStratified,
+// with retries, fault points, and partial-result degradation applied once
+// at the arm boundary (guardArms).
+//
 // Stratified draws are always fresh: the directory indexes physical row
 // positions, so per-stratum streams must read the table itself — the
 // maintained-sample fast path serves only boundary resolution here.
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strconv"
@@ -49,52 +54,13 @@ type dirEntry struct {
 	err  error
 }
 
-// strataCache is a fixed-capacity LRU over dirKey. Zero capacity disables
-// residency: every call gets a fresh entry (and therefore a fresh build).
-type strataCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *dirListEntry
-	items    map[dirKey]*list.Element
-}
-
-type dirListEntry struct {
-	key dirKey
-	ent *dirEntry
-}
-
-func newStrataCache(capacity int) *strataCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &strataCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[dirKey]*list.Element, capacity),
-	}
-}
-
-// entry returns the resident entry for key, creating (and possibly evicting
-// the least-recently-used) one when absent. The caller runs the build under
-// the entry's once.
-func (c *strataCache) entry(key dirKey) *dirEntry {
-	if c.capacity == 0 {
-		return &dirEntry{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*dirListEntry).ent
-	}
-	ent := &dirEntry{}
-	c.items[key] = c.order.PushFront(&dirListEntry{key: key, ent: ent})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*dirListEntry).key)
-	}
-	return ent
+// newStrataCache holds one directory entry per dirKey. The resident entry
+// always wins a Put, which makes Put a get-or-create: every resolver of a
+// key shares the first entry and its build.
+func newStrataCache(capacity int) *lru[dirKey, *dirEntry] {
+	c := newLRU[dirKey, *dirEntry](capacity)
+	c.keep = func(*dirEntry, *dirEntry) bool { return true }
+	return c
 }
 
 // resolveBounds picks the cheapest available boundary source for one table:
@@ -131,10 +97,10 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 // the cache and wiring the rows-per-stratum ledger into each arm's draws.
 func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
-	ent := e.strataDirs.entry(dirKey{
+	ent := e.strataDirs.Put(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	})
+	}, &dirEntry{})
 	ent.once.Do(func() {
 		e.strataDirBuilds.Add(1)
 		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
@@ -175,44 +141,78 @@ func (e *Engine) instrumentArm(arm *core.StratumArm, stratum int) {
 	}
 }
 
-// requestArms resolves a stratified request's full arm set: per stratum for
-// a plain table, per shard×stratum cell for a partitioned one. Each shard
-// stratifies independently (its own boundaries, directory, and Weyl-derived
-// seed lineage shardSeed→StreamSeed), and cell weights rescale from
-// within-shard shares to whole-table shares, so the flat arm set composes by
-// the same stratified algebra either way.
-func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, error) {
-	if sh, ok := req.Table.(catalog.Sharded); ok {
-		ns := sh.NumShards()
-		epochs := sh.EpochVector()
-		counts := make([]int64, ns)
-		var total int64
-		for s := 0; s < ns; s++ {
-			counts[s] = sh.Shard(s).NumRows()
-			total += counts[s]
+// requestArms resolves a request's full arm set and each arm's shard
+// (wholeTable for an unsharded table): per stratum for a plain table, per
+// shard for a partitioned one, per shard×stratum cell for a stratified
+// partitioned one. Each shard stratifies independently (its own boundaries,
+// directory, and Weyl-derived seed lineage shardSeed→StreamSeed), and cell
+// weights rescale from within-shard shares to whole-table shares, so the
+// flat arm set composes by the same stratified algebra either way.
+func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []int, error) {
+	sh, ok := req.Table.(catalog.Sharded)
+	if !ok {
+		arms, err := e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+		shardOf := make([]int, len(arms))
+		for i := range shardOf {
+			shardOf[i] = wholeTable
 		}
-		if total == 0 {
-			return nil, fmt.Errorf("table %q is empty", req.Table.Name())
-		}
-		var arms []core.StratumArm
-		for s := 0; s < ns; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, shardSeed(req.Seed, s))
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", s, err)
-			}
-			scale := float64(counts[s]) / float64(total)
-			for i := range sub {
-				sub[i].Weight *= scale
-				sub[i].Label = fmt.Sprintf("shard %d/%s", s, sub[i].Label)
-			}
-			arms = append(arms, sub...)
-		}
-		return arms, nil
+		return arms, shardOf, err
 	}
-	return e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+	ns := sh.NumShards()
+	epochs := sh.EpochVector()
+	counts := make([]int64, ns)
+	var total int64
+	for s := 0; s < ns; s++ {
+		counts[s] = sh.Shard(s).NumRows()
+		total += counts[s]
+	}
+	if total == 0 {
+		return nil, nil, fmt.Errorf("table %q is empty", req.Table.Name())
+	}
+	var arms []core.StratumArm
+	var shardOf []int
+	for s := 0; s < ns; s++ {
+		if counts[s] == 0 {
+			continue
+		}
+		scale := float64(counts[s]) / float64(total)
+		seed := shardSeed(req.Seed, s)
+		if req.Strata == 0 {
+			arms = append(arms, shardArm(req, sh.Shard(s), s, scale, seed))
+			shardOf = append(shardOf, s)
+			continue
+		}
+		sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, seed)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		for i := range sub {
+			sub[i].Weight *= scale
+			sub[i].Label = fmt.Sprintf("shard %d/%s", s, sub[i].Label)
+			shardOf = append(shardOf, s)
+		}
+		arms = append(arms, sub...)
+	}
+	return arms, shardOf, nil
+}
+
+// shardArm is one whole shard as an adaptive arm: weight N_h/N and a
+// resumable uniform-WR stream over the shard under its own seed. Shard 0
+// keeps the request seed, so a 1-shard table draws the unsharded stream.
+func shardArm(req Request, shard Table, h int, weight float64, seed uint64) core.StratumArm {
+	return core.StratumArm{
+		Label:  fmt.Sprintf("shard %d", h),
+		Weight: weight,
+		Rows:   shard.NumRows(),
+		Seed:   seed,
+		Extend: func(round int, extra int64) (*value.RecordArena, error) {
+			full := value.NewRecordArena(req.Table.Schema(), int(extra))
+			if err := sampling.ExtendWRInto(shard, full, extra, seed, round); err != nil {
+				return nil, err
+			}
+			return core.ProjectSample(full, req.KeyColumns)
+		},
+	}
 }
 
 // evaluateStratified runs one fixed-r stratified request on a pool worker:
@@ -222,7 +222,7 @@ func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, erro
 func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	req := it.req
 	e.stratified.Add(1)
-	arms, err := e.requestArms(req, it.key.epoch)
+	arms, _, err := e.requestArms(req, it.key.epoch)
 	if err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
 	}
@@ -240,7 +240,7 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	_, end := obs.StartSpan(ctx, stageCompress)
 	t0 := time.Now()
 	est, err := core.EstimateStratified(arms, alloc, core.Options{
-		Codec: req.Codec, PageSize: it.key.pageSize, Seed: req.Seed, Strata: req.Strata,
+		Codec: req.Codec, PageSize: it.pageSize, Seed: req.Seed, Strata: req.Strata,
 	})
 	e.stageCompressHist.Observe(time.Since(t0))
 	end.End()
@@ -248,66 +248,68 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
 	}
 	e.evaluated.Add(1)
-	if ev := e.cache.Put(it.key, est); ev > 0 {
-		e.evictions.Add(uint64(ev))
-	}
+	e.cache.Put(it.key, est)
 	return Result{Estimate: est}
 }
 
-// runStratifiedAdaptive is the precision-targeted stratified loop: arms from
-// the directory cache, proportional round-0 allocation (doubling as the
-// Neyman pilot), then core.AdaptiveEstimateStratified's dominance-routed
-// refinement. The achieved precision publishes to the dominance cache under
-// the strata-scoped precision key.
-func (e *Engine) runStratifiedAdaptive(ctx context.Context, req Request, pkey precisionKey) (core.AdaptiveResult, error) {
-	pageSize := req.PageSize
-	if pageSize == 0 {
-		pageSize = e.cfg.PageSize
-	}
-	e.stratified.Add(1)
-	arms, err := e.requestArms(req, pkey.epoch)
+// runArmsAdaptive is the precision-targeted loop for every arm-set request
+// — stratified, sharded, or both: arms from requestArms, guarded once at
+// the arm boundary (guardArms), proportional round-0 allocation (doubling
+// as the Neyman pilot), then core.AdaptiveEstimateStratified's
+// dominance-routed refinement. Under AllowPartial on a partitioned table,
+// arms whose draws keep failing drop out and their shards return for the
+// Degraded result; a degraded outcome never publishes to the precision
+// cache, which must not serve a survivors-only interval as a whole-table
+// result.
+func (e *Engine) runArmsAdaptive(ctx context.Context, it *batchItem) (core.AdaptiveResult, []int, error) {
+	req := it.req
+	arms, shardOf, err := e.requestArms(req, it.pkey.epoch)
 	if err != nil {
-		return core.AdaptiveResult{}, fmt.Errorf("stratify: %w", err)
-	}
-	e.strataCountHist.Observe(time.Duration(len(arms)))
-	// Re-check ctx at every arm extension, so an expired deadline stops the
-	// loop at the next round boundary instead of running the budget out.
-	for i := range arms {
-		ext := arms[i].Extend
-		arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return ext(round, extra)
+		if req.Strata > 0 {
+			err = fmt.Errorf("stratify: %w", err)
 		}
+		return core.AdaptiveResult{}, nil, err
 	}
-	target := core.Precision{
-		TargetError:   req.TargetError,
-		Confidence:    req.Confidence,
-		MaxSampleRows: req.MaxSampleRows,
+	if req.Strata > 0 {
+		e.stratified.Add(1)
+		e.strataCountHist.Observe(time.Duration(len(arms)))
 	}
-	if target.MaxSampleRows == 0 {
-		target.MaxSampleRows = req.Table.NumRows()
-	}
+	_, partitioned := req.Table.(catalog.Sharded)
+	e.guardArms(ctx, arms, shardOf, partitioned && req.AllowPartial)
 	counts := make([]int64, len(arms))
 	for i := range arms {
 		counts[i] = arms[i].Rows
 	}
 	round0 := sampling.Allocate(initialAdaptiveRows(req), counts, nil)
-	e.samplesDrawn.Add(1)
+	e.samplesDrawn.Add(uint64(len(arms)))
 	_, endRounds := obs.StartSpan(ctx, stageRounds)
 	t0 := time.Now()
-	res, err := core.AdaptiveEstimateStratified(arms, round0, target, core.Options{
-		Codec: req.Codec, PageSize: pageSize, Seed: req.Seed, Strata: req.Strata,
+	res, err := core.AdaptiveEstimateStratified(arms, round0, precisionTarget(req), core.Options{
+		Codec: req.Codec, PageSize: it.pageSize, Seed: req.Seed, Strata: req.Strata,
 	})
 	e.stageRoundsHist.Observe(time.Since(t0))
 	endRounds.End()
 	if err != nil {
-		return core.AdaptiveResult{}, err
+		return core.AdaptiveResult{}, nil, err
 	}
+	e.prepared.Add(uint64(len(arms) - len(res.Dropped)))
+	e.prepareNanos.Add(uint64(res.PrepDuration.Nanoseconds()))
+	e.sortRows.Add(uint64(res.Estimate.SampleRows))
 	e.adaptiveRounds.Add(uint64(res.Rounds))
 	e.adaptiveRows.Add(uint64(res.Estimate.SampleRows))
 	e.evaluated.Add(1)
-	e.precision.Put(pkey, res.Estimate, res.AchievedError/zFor(req.Confidence), res.Rounds, res.Estimate.SampleRows)
-	return res, nil
+	if len(res.Dropped) == 0 {
+		e.precision.Put(it.pkey, precisionEntry{
+			est: res.Estimate, sdScale: res.AchievedError / zFor(req.Confidence), rounds: res.Rounds,
+		})
+		return res, nil, nil
+	}
+	e.degradedResults.Add(1)
+	var failed []int
+	for _, i := range res.Dropped {
+		if s := shardOf[i]; len(failed) == 0 || failed[len(failed)-1] != s {
+			failed = append(failed, s)
+		}
+	}
+	return res, failed, nil
 }

@@ -82,6 +82,30 @@ func TestStratifiedResultCached(t *testing.T) {
 	}
 }
 
+// TestStrataDirectoryReusedAcrossRequests pins the directory cache:
+// stratified requests that miss the result cache (fresh seeds, fixed-r
+// and adaptive alike) at one table version share a single stratify scan.
+func TestStrataDirectoryReusedAcrossRequests(t *testing.T) {
+	tab := testTable(t, "stratdir", 6000, 3)
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	// The precision cache keys on the codec, not the seed: each adaptive
+	// ask names its own codec so none is answered by dominance.
+	for seed, name := range []string{"rle", "nullsuppression", "pagedict+ns"} {
+		for _, req := range []Request{
+			{Table: tab, Codec: codec(t, name), SampleRows: 400, Seed: uint64(seed), Strata: 4},
+			{Table: tab, Codec: codec(t, name), TargetError: 0.05, Seed: uint64(seed), Strata: 4},
+		} {
+			if res := e.Estimate(context.Background(), req); res.Err != nil || res.CacheHit {
+				t.Fatalf("%s: err=%v hit=%v, want a computed estimate", name, res.Err, res.CacheHit)
+			}
+		}
+	}
+	if builds := e.Stats().StrataDirBuilds; builds != 1 {
+		t.Errorf("StrataDirBuilds = %d over six misses at one table version, want 1", builds)
+	}
+}
+
 // TestStratifiedAdaptiveConverges runs the precision-targeted stratified
 // loop end to end on a skewed table and checks the dominance cache answers
 // the repeat ask.

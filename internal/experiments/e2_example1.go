@@ -13,9 +13,8 @@ import (
 
 // E2 reproduces Example 1: a table of n = 100 million rows, sampled at 1%
 // (r = 1 million), gives σ(CF'_NS) ≤ 5·10⁻⁴. The table is virtual
-// (generator-backed), so the experiment runs in constant memory — the
-// substitution DESIGN.md records for "we do not have the authors' 100M-row
-// testbed".
+// (generator-backed), so the experiment runs in constant memory — a
+// stand-in for the authors' 100M-row testbed, which is not available.
 func init() {
 	register(Experiment{
 		ID:       "E2",

@@ -84,7 +84,7 @@ func runE6(cfg Config, w io.Writer) error {
 	}
 
 	// Ablation: byte-aligned fixed-width dictionary entries vs row-
-	// compressed (NS) entries — the design choice DESIGN.md calls out.
+	// compressed (NS) entries, a storage choice the paper leaves open.
 	abl := NewTable("E6(ablation): dictionary entry storage format",
 		"d", "CF(fixed-width entries)", "CF(NS entries)")
 	for _, dDomain := range []int64{100, 10_000} {

@@ -8,7 +8,7 @@ import (
 )
 
 // Config scales an experiment run. The defaults target interactive use;
-// Scale=1 reproduces the full parameterization recorded in EXPERIMENTS.md.
+// Scale=1 reproduces each experiment's full parameterization.
 type Config struct {
 	// Scale multiplies table sizes and trial counts; 1.0 = full scale,
 	// smaller values shrink runs proportionally (floors keep statistics

@@ -3,8 +3,7 @@
 // as future work (paging effects, block sampling) and the baseline
 // comparisons its related-work section implies. The paper's own experiment
 // section was omitted for space, so these experiments ARE the empirical
-// validation of its analytical claims; EXPERIMENTS.md records paper-claim
-// versus measured for each.
+// validation of its analytical claims.
 package experiments
 
 import (
