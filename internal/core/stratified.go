@@ -113,14 +113,7 @@ func StratifyTable(src sampling.RowSource, schema *value.Schema, keyCols []strin
 	if err != nil {
 		return nil, err
 	}
-	krow := make(value.Row, len(project))
-	keyOf := func(row value.Row, buf []byte) ([]byte, error) {
-		for i, p := range project {
-			krow[i] = row[p]
-		}
-		return value.EncodeKey(keySchema, krow, buf)
-	}
-	return sampling.BuildStrataDirectory(src, ks, keyOf)
+	return sampling.BuildStrataDirectory(src, ks, keySchema, project)
 }
 
 // StratumArm is one stratum's sampling stream in a stratified estimation —

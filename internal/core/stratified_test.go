@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,6 +283,132 @@ func TestEquiDepthFromKeysUnsortedInput(t *testing.T) {
 	for i, k := range keys {
 		if string(k) != orig[i] {
 			t.Fatal("input keys mutated")
+		}
+	}
+}
+
+// TestStrataDirectoryMatchesEncodedKeyOracle checks StratifyTable's
+// directories row for row against the definition — StratumOf on each row's
+// encoded index key, rows ascending within a stratum — on the wide mixed
+// schema, for INT, CHAR, low-cardinality-led, and INT-led multi-column
+// keys at 2, 8, and 300 strata.
+func TestStrataDirectoryMatchesEncodedKeyOracle(t *testing.T) {
+	tab := wideTable(t, 20_000)
+	for _, cols := range [][]string{
+		{"qty"}, {"product", "customer"}, {"status", "customer"}, {"day", "region", "price"},
+	} {
+		keySchema, project, err := keyProjection(tab.Schema(), cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []int{2, 8, 300} {
+			bounds, err := StratumBoundaries(tab, tab.Schema(), cols, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir, err := StratifyTable(tab, tab.Schema(), cols, bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks := dir.Strata()
+			want := make([][]int64, ks.NumStrata())
+			var key []byte
+			for i, row := range tab.Rows() {
+				key, err = value.EncodeKey(keySchema, projectRow(row, project), key[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := ks.StratumOf(key)
+				want[s] = append(want[s], int64(i))
+			}
+			counts := dir.Counts()
+			for s := range want {
+				if counts[s] != int64(len(want[s])) {
+					t.Fatalf("%v H=%d stratum %d: %d rows, want %d", cols, h, s, counts[s], len(want[s]))
+				}
+				if len(want[s]) == 0 {
+					continue
+				}
+				// WOR-drawing the whole stratum returns its rows in
+				// directory order.
+				got, err := dir.WORExtend(s, counts[s], 1, 0, map[int64]struct{}{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.Sort(got)
+				if !slices.Equal(got, want[s]) {
+					t.Fatalf("%v H=%d stratum %d: rows differ from the encoded-key oracle", cols, h, s)
+				}
+			}
+		}
+	}
+}
+
+// TestStrataBuildRejectsMalformedKeyPayloads checks the classify scan keeps
+// EncodeKey's payload checks: a CHAR payload longer than its declared
+// length or an INT payload that is not 4 bytes fails the build, while the
+// same defect in a non-key column does not.
+func TestStrataBuildRejectsMalformedKeyPayloads(t *testing.T) {
+	schema := value.MustSchema(
+		value.Column{Name: "name", Type: value.Char(4)},
+		value.Column{Name: "qty", Type: value.Int32()},
+	)
+	rows := make([]value.Row, 100)
+	for i := range rows {
+		rows[i] = value.Row{[]byte{'a' + byte(i%26)}, value.IntValue(int32(i))}
+	}
+	for _, c := range []struct {
+		cols    []string
+		bad     value.Row
+		wantErr string
+	}{
+		{[]string{"name"}, value.Row{[]byte("abcde"), value.IntValue(1)}, "exceeds CHAR(4)"},
+		{[]string{"qty", "name"}, value.Row{[]byte("ab"), []byte{1, 2, 3}}, "must be 4 bytes"},
+		{[]string{"qty"}, value.Row{[]byte("abcde"), value.IntValue(1)}, ""},
+	} {
+		src := append(sampling.SliceSource(nil), rows...)
+		src[57] = c.bad
+		bounds, err := PilotBoundaries(sampling.SliceSource(rows), schema, c.cols, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = StratifyTable(src, schema, c.cols, bounds)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%v: malformed non-key column failed the build: %v", c.cols, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%v: err = %v, want one containing %q", c.cols, err, c.wantErr)
+		}
+	}
+}
+
+// hugeSource reports more rows than a uint32 index can address and fails
+// the test if any row is fetched.
+type hugeSource struct{ t *testing.T }
+
+func (hugeSource) NumRows() int64 { return math.MaxUint32 + 1 }
+func (h hugeSource) Row(int64) (value.Row, error) {
+	h.t.Fatal("row fetched from an oversized source")
+	return nil, nil
+}
+
+// TestStrataBuildRejectsMoreThanUint32Rows checks an oversized source gets
+// a clean error before the build allocates its per-row arrays.
+func TestStrataBuildRejectsMoreThanUint32Rows(t *testing.T) {
+	schema := value.MustSchema(value.Column{Name: "qty", Type: value.Int32()})
+	for _, bounds := range [][][]byte{nil, {value.IntValue(7)}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := StratifyTable(hugeSource{t}, schema, nil, bounds)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "row limit") {
+			t.Fatalf("%d bounds: err = %v, want the row-limit error", len(bounds), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%d bounds: allocated %d bytes before failing", len(bounds), grew)
 		}
 	}
 }

@@ -6,12 +6,14 @@ import (
 
 // Stage label values of the per-stage latency histogram — the pipeline
 // phases a traced estimate records: sample draw, arena prepare (encode +
-// radix sort), per-page compression, and adaptive CI rounds.
+// radix sort), per-page compression, adaptive CI rounds, and the strata
+// directory build a stratified estimate pays on a directory-cache miss.
 const (
 	stageDraw     = "draw"
 	stageSort     = "sort"
 	stageCompress = "compress"
 	stageRounds   = "rounds"
+	stageStratify = "stratify"
 )
 
 // metrics is the engine's instrument set, resolved once at New against the
@@ -70,6 +72,7 @@ type metrics struct {
 	stageSortHist     *obs.Histogram
 	stageCompressHist *obs.Histogram
 	stageRoundsHist   *obs.Histogram
+	stageStratifyHist *obs.Histogram
 }
 
 // Canonical engine metric names. The /stats compatibility shim in cfserve
@@ -153,5 +156,6 @@ func newMetrics(r *obs.Registry) metrics {
 		stageSortHist:     stage.With(stageSort),
 		stageCompressHist: stage.With(stageCompress),
 		stageRoundsHist:   stage.With(stageRounds),
+		stageStratifyHist: stage.With(stageStratify),
 	}
 }

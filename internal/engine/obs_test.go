@@ -170,3 +170,44 @@ func TestQueueGaugesSettle(t *testing.T) {
 		t.Fatalf("in-flight %v after drain, want 0", v)
 	}
 }
+
+// TestStrataTraceRecordsStratifyStage checks the strata-directory build is
+// attributed: a stratified estimate that misses the directory cache records
+// a stratify span and one stratify-stage observation, and a second request
+// at the same table version, served by the cached directory, records
+// neither.
+func TestStrataTraceRecordsStratifyStage(t *testing.T) {
+	reg := obs.NewRegistry()
+	tab := testTable(t, "obsstrata", 4000, 21)
+	e := New(Config{Workers: 2, Metrics: reg})
+	defer e.Close()
+
+	for seed, wantSpan := range []bool{true, false} {
+		tr := obs.NewTrace("estimate")
+		ctx := obs.WithTrace(context.Background(), tr)
+		req := Request{Table: tab, KeyColumns: []string{"a"}, Codec: codec(t, "rle"),
+			SampleRows: 400, Seed: uint64(seed), Strata: 4}
+		if res := e.Estimate(ctx, req); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		tr.Finish()
+		seen := false
+		for _, s := range tr.Spans() {
+			seen = seen || s.Name == stageStratify
+		}
+		if seen != wantSpan {
+			t.Errorf("request %d: stratify span recorded = %v, want %v", seed, seen, wantSpan)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := MetricStageDuration + `_count{stage="` + stageStratify + `"} 1`
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+	if builds := e.Stats().StrataDirBuilds; builds != 1 {
+		t.Errorf("StrataDirBuilds = %d, want 1", builds)
+	}
+}

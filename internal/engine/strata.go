@@ -94,8 +94,10 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 
 // tableArms builds the per-stratum arms of one catalog table — the whole
 // table, or one shard of a partitioned one — resolving the directory through
-// the cache and wiring the rows-per-stratum ledger into each arm's draws.
-func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
+// the cache and wiring the rows-per-stratum ledger into each arm's draws. A
+// cache miss's build (boundary resolution plus the stratify scan) is timed
+// as the stratify stage.
+func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
 	ent := e.strataDirs.Put(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
@@ -103,6 +105,12 @@ func (e *Engine) tableArms(tab Table, epoch uint64, keyCols []string, strata int
 	}, &dirEntry{})
 	ent.once.Do(func() {
 		e.strataDirBuilds.Add(1)
+		_, end := obs.StartSpan(ctx, stageStratify)
+		t0 := time.Now()
+		defer func() {
+			e.stageStratifyHist.Observe(time.Since(t0))
+			end.End()
+		}()
 		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
 		if err != nil {
 			ent.err = err
@@ -148,10 +156,10 @@ func (e *Engine) instrumentArm(arm *core.StratumArm, stratum int) {
 // directory, and Weyl-derived seed lineage shardSeed→StreamSeed), and cell
 // weights rescale from within-shard shares to whole-table shares, so the
 // flat arm set composes by the same stratified algebra either way.
-func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []int, error) {
+func (e *Engine) requestArms(ctx context.Context, req Request, epoch uint64) ([]core.StratumArm, []int, error) {
 	sh, ok := req.Table.(catalog.Sharded)
 	if !ok {
-		arms, err := e.tableArms(req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
+		arms, err := e.tableArms(ctx, req.Table, epoch, req.KeyColumns, req.Strata, req.Seed)
 		shardOf := make([]int, len(arms))
 		for i := range shardOf {
 			shardOf[i] = wholeTable
@@ -182,7 +190,7 @@ func (e *Engine) requestArms(req Request, epoch uint64) ([]core.StratumArm, []in
 			shardOf = append(shardOf, s)
 			continue
 		}
-		sub, err := e.tableArms(sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, seed)
+		sub, err := e.tableArms(ctx, sh.Shard(s), epochs[s], req.KeyColumns, req.Strata, seed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -222,7 +230,7 @@ func shardArm(req Request, shard Table, h int, weight float64, seed uint64) core
 func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 	req := it.req
 	e.stratified.Add(1)
-	arms, _, err := e.requestArms(req, it.key.epoch)
+	arms, _, err := e.requestArms(ctx, req, it.key.epoch)
 	if err != nil {
 		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
 	}
@@ -263,7 +271,7 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 // result.
 func (e *Engine) runArmsAdaptive(ctx context.Context, it *batchItem) (core.AdaptiveResult, []int, error) {
 	req := it.req
-	arms, shardOf, err := e.requestArms(req, it.pkey.epoch)
+	arms, shardOf, err := e.requestArms(ctx, req, it.pkey.epoch)
 	if err != nil {
 		if req.Strata > 0 {
 			err = fmt.Errorf("stratify: %w", err)

@@ -2,7 +2,10 @@ package sampling
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"samplecf/internal/rng"
@@ -91,52 +94,235 @@ func EquiDepthBoundaries(n, h int, key func(i int) []byte) [][]byte {
 }
 
 // StrataDirectory buckets every row index of a table by key-range stratum:
-// the per-stratum random-access view stratified draws need. Building it
-// costs one O(n) key-projection scan; the engine caches directories per
-// (table version, key columns, strata count) so the scan amortizes across
-// the what-if traffic that reuses them.
+// the per-stratum random-access view stratified draws need. All strata
+// share one exactly-sized []uint32 index array — 4 bytes per table row
+// resident, which caps a directory at 2³²−1 rows — and rows[h] is stratum
+// h's sub-slice of it. Building it costs one O(n) classify scan plus a
+// counting-sort layout pass; the engine caches directories per (table
+// version, key columns, strata count) so the build amortizes across the
+// what-if traffic that reuses them.
 type StrataDirectory struct {
 	strata *KeyStrata
-	rows   [][]int64 // rows[h] = row indices of stratum h, ascending
+	rows   [][]uint32 // rows[h] = row indices of stratum h, ascending
 	total  int64
 }
 
-// BuildStrataDirectory scans src's rows in order, encoding each row's index
-// key with keyOf (append-style: keyOf(row, buf) returns the encoded key,
-// reusing buf's storage) and bucketing the row index by key range. Within a
-// stratum, row indices stay in table order — with a single stratum the
-// directory is the identity over [0, n), which is what keeps degenerate
-// stratified draws byte-identical to uniform ones.
-func BuildStrataDirectory(src RowSource, ks *KeyStrata,
-	keyOf func(row value.Row, buf []byte) ([]byte, error)) (*StrataDirectory, error) {
+// BuildStrataDirectory scans src's rows in order and buckets each row index
+// by the key range its index key falls in. The index key is the
+// memcomparable encoding (value.EncodeKey) of the row projected to the key
+// columns: key column c is source column project[c], typed by keySchema.
+//
+// The scan never encodes a key in the common case: it compares an 8-byte
+// abbreviated prefix of the row's key, assembled column-wise, with the
+// boundaries' precomputed prefixes (both zero-extended, so boundaries of
+// any length compare soundly). Only a prefix tie falls back to an exact
+// comparison of the full key, encoded column-wise into the bytes
+// value.EncodeKey produces, with the tied boundaries. Every key column's
+// payload length is still checked on every row, so a row EncodeKey would
+// reject fails the build with the same value.ValidateRow error. A counting
+// sort then lays the rows out stratum by stratum in one index array. Within a stratum, row indices stay in table order — with a single
+// stratum the directory is the identity over [0, n), which is what keeps
+// degenerate stratified draws byte-identical to uniform ones.
+func BuildStrataDirectory(src RowSource, ks *KeyStrata, keySchema *value.Schema, project []int) (*StrataDirectory, error) {
 	n := src.NumRows()
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: source is empty")
 	}
-	h := ks.NumStrata()
-	d := &StrataDirectory{strata: ks, rows: make([][]int64, h), total: n}
-	if h == 1 {
-		idx := make([]int64, n)
-		for i := range idx {
-			idx[i] = int64(i)
-		}
-		d.rows[0] = idx
-		return d, nil
+	if n > math.MaxUint32 {
+		return nil, fmt.Errorf("sampling: %d rows exceed the strata directory's 2^32-1 row limit", n)
 	}
-	var buf []byte
-	for i := int64(0); i < n; i++ {
-		row, err := src.Row(i)
+	if len(project) != keySchema.NumColumns() {
+		return nil, fmt.Errorf("sampling: %d projected columns for a %d-column key", len(project), keySchema.NumColumns())
+	}
+	h := ks.NumStrata()
+	d := &StrataDirectory{strata: ks, total: n}
+	var err error
+	switch {
+	case h == 1:
+		idx := make([]uint32, n)
+		for i := range idx {
+			idx[i] = uint32(i)
+		}
+		d.rows = [][]uint32{idx}
+	case h <= math.MaxUint8+1:
+		d.rows, err = layoutStrata[uint8](src, h, newClassifier(ks, keySchema, project))
+	default:
+		d.rows, err = layoutStrata[uint32](src, h, newClassifier(ks, keySchema, project))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// layoutStrata classifies every row of src into a per-row stratum scratch
+// (one byte per row up to 256 strata, four past it), then places the row
+// indices by counting sort: the classify pass counts, a prefix sum turns
+// counts into start positions, and one stable placement pass fills the
+// single index array the strata slice.
+func layoutStrata[S uint8 | uint32](src RowSource, h int, cl *classifier) ([][]uint32, error) {
+	n := src.NumRows()
+	of := make([]S, n)
+	counts := make([]int, h)
+	for i := range of {
+		row, err := src.Row(int64(i))
 		if err != nil {
 			return nil, fmt.Errorf("sampling: row fetch: %w", err)
 		}
-		buf, err = keyOf(row, buf[:0])
+		s, err := cl.stratumOf(row)
 		if err != nil {
 			return nil, fmt.Errorf("sampling: encode stratum key: %w", err)
 		}
-		s := ks.StratumOf(buf)
-		d.rows[s] = append(d.rows[s], i)
+		of[i] = S(s)
+		counts[s]++
 	}
-	return d, nil
+	idx := make([]uint32, n)
+	rows := make([][]uint32, h)
+	pos := 0
+	for s, c := range counts {
+		rows[s] = idx[pos : pos+c : pos+c]
+		counts[s] = pos // from here on, stratum s's next write position
+		pos += c
+	}
+	for i, s := range of {
+		idx[counts[s]] = uint32(i)
+		counts[s]++
+	}
+	return rows, nil
+}
+
+// classifier maps rows to strata through abbreviated keys: the first 8
+// bytes of a row's memcomparable key, as a big-endian uint64, against the
+// boundaries' prefixes (prefix). Boundaries ascend strictly, so their
+// prefixes are non-decreasing; a key prefix strictly between two boundary
+// prefixes settles the stratum, and only a key prefix equal to some
+// boundary's needs the exact compare.
+type classifier struct {
+	bounds [][]byte
+	prefix []uint64
+	schema *value.Schema
+	cols   []keyCol
+	tmpl   []byte  // an encoded key of empty payloads: CHAR pad bytes, zeros elsewhere
+	win    [8]byte // tmpl's prefix window, zero-extended
+	key    []byte  // the tie path's encoded key, reused across rows
+}
+
+// keyCol is one key column's place in the encoded key: source column src,
+// payload check (at most maxLen bytes, exactly maxLen for integers), byte
+// offset off, and the take bytes it contributes to the 8-byte prefix
+// window (0 for columns that start past it).
+type keyCol struct {
+	src       int
+	maxLen    int
+	isInt     bool
+	off, take int
+}
+
+func newClassifier(ks *KeyStrata, schema *value.Schema, project []int) *classifier {
+	cl := &classifier{
+		bounds: ks.bounds,
+		prefix: make([]uint64, len(ks.bounds)),
+		schema: schema,
+		cols:   make([]keyCol, len(project)),
+	}
+	for i, b := range ks.bounds {
+		cl.prefix[i] = abbrev(b)
+	}
+	for c, p := range project {
+		t := schema.Column(c).Type
+		off := len(cl.tmpl)
+		cl.cols[c] = keyCol{src: p, maxLen: t.FixedWidth(), isInt: !t.IsCharacter(), off: off,
+			take: max(min(off+t.FixedWidth(), 8)-off, 0)}
+		for j := 0; j < t.FixedWidth(); j++ {
+			cl.tmpl = append(cl.tmpl, t.PadByte())
+		}
+	}
+	copy(cl.win[:], cl.tmpl)
+	cl.key = make([]byte, len(cl.tmpl))
+	return cl
+}
+
+// abbrev returns the first 8 bytes of key, zero-extended, as a big-endian
+// uint64. Zero-extension keeps prefix order sound for keys of any length:
+// abbrev(a) < abbrev(b) implies a < b, and only equal prefixes leave the
+// order open.
+func abbrev(key []byte) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// stratumOf returns row's stratum, or the error value.EncodeKey reports for
+// a row whose key-column payloads do not fit the key schema.
+func (cl *classifier) stratumOf(row value.Row) (int, error) {
+	w := cl.win
+	for _, c := range cl.cols {
+		v := row[c.src]
+		if len(v) > c.maxLen || (c.isInt && len(v) != c.maxLen) {
+			return 0, cl.invalid(row)
+		}
+		if c.take > 0 {
+			// CHAR payloads shorter than the window keep win's pad bytes;
+			// integers flip the sign bit like EncodeKey.
+			copy(w[c.off:c.off+c.take], v)
+			if c.isInt {
+				w[c.off] ^= 0x80
+			}
+		}
+	}
+	k := binary.BigEndian.Uint64(w[:])
+	s := countBelow(cl.prefix, k)
+	if s < len(cl.prefix) && cl.prefix[s] == k {
+		return cl.tie(row, s, k), nil
+	}
+	return s, nil
+}
+
+// tie settles a row whose key prefix k equals boundary s's: it encodes the
+// full key column by column (the bytes value.EncodeKey produces, payloads
+// already checked) and counts the prefix-tied boundaries ≤ the key — all
+// boundaries before s are below it and all past the tied run above.
+func (cl *classifier) tie(row value.Row, s int, k uint64) int {
+	key := cl.key
+	copy(key, cl.tmpl)
+	for _, c := range cl.cols {
+		copy(key[c.off:], row[c.src])
+		if c.isInt {
+			key[c.off] ^= 0x80
+		}
+	}
+	for s < len(cl.prefix) && cl.prefix[s] == k && bytes.Compare(cl.bounds[s], key) <= 0 {
+		s++
+	}
+	return s
+}
+
+// invalid returns value.ValidateRow's error for the projected row.
+func (cl *classifier) invalid(row value.Row) error {
+	krow := make(value.Row, len(cl.cols))
+	for i, c := range cl.cols {
+		krow[i] = row[c.src]
+	}
+	return value.ValidateRow(cl.schema, krow)
+}
+
+// countBelow returns how many entries of the non-decreasing p are < k, by
+// a binary search whose probe sequence depends only on len(p): each step
+// advances the base by the borrow of one subtraction instead of branching
+// on the comparison.
+func countBelow(p []uint64, k uint64) int {
+	base, n := 0, len(p)
+	for n > 1 {
+		half := n / 2
+		_, lt := bits.Sub64(p[base+half-1], k, 0)
+		base += half * int(lt)
+		n -= half
+	}
+	if n == 1 {
+		_, lt := bits.Sub64(p[base], k, 0)
+		base += int(lt)
+	}
+	return base
 }
 
 // NumStrata returns H.
@@ -171,7 +357,7 @@ func (d *StrataDirectory) WRInto(src RowSource, h int, r int64, g *rng.RNG, ar *
 	}
 	nh := int64(len(idx))
 	for i := int64(0); i < r; i++ {
-		row, err := src.Row(idx[g.Int63n(nh)])
+		row, err := src.Row(int64(idx[g.Int63n(nh)]))
 		if err != nil {
 			return fmt.Errorf("sampling: row fetch: %w", err)
 		}
@@ -214,7 +400,7 @@ func (d *StrataDirectory) WORExtend(h int, extra int64, seed uint64, round int,
 	}
 	out := make([]int64, len(local))
 	for i, l := range local {
-		out[i] = idx[l]
+		out[i] = int64(idx[l])
 	}
 	return out, nil
 }

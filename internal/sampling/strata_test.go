@@ -10,7 +10,7 @@ import (
 	"samplecf/internal/value"
 )
 
-// strataKeyOf encodes a single-column row's index key for directory builds.
+// strataKeyOf encodes a single-column row's index key, for boundary keys.
 func strataKeyOf(t testing.TB, schema *value.Schema) func(value.Row, []byte) ([]byte, error) {
 	t.Helper()
 	return func(row value.Row, buf []byte) ([]byte, error) {
@@ -90,7 +90,7 @@ func TestStrataDirectorySingleStratumIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, strataKeyOf(t, schema))
+	dir, err := BuildStrataDirectory(src, ks, schema, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStrataDirectoryPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, keyOf)
+	dir, err := BuildStrataDirectory(src, ks, schema, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestStrataDirectoryWORExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := BuildStrataDirectory(src, ks, keyOf)
+	dir, err := BuildStrataDirectory(src, ks, schema, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
