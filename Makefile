@@ -32,10 +32,12 @@ BENCHTIME ?= 1s
 # rows-to-±2% pairs on zipf keys, the sort subsystem (BenchmarkPrepareSort's radix-vs-stdsort
 # pairs, BenchmarkTrueCFParallel's worker sweep), the telemetry layer
 # (BenchmarkObsOverhead's instrumented-vs-noop cost per metric update),
-# and the fault-injection switchboard (BenchmarkFaultPointDisarmed's
-# zero-cost disarmed contract) — as a machine-readable artifact.
+# the fault-injection switchboard (BenchmarkFaultPointDisarmed's
+# zero-cost disarmed contract), and table materialization
+# (BenchmarkGenerate's slab layout, allocs/op) — as a machine-readable
+# artifact.
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/workload ./internal/obs ./internal/faults . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
@@ -48,7 +50,7 @@ bench:
 # (1x iterations are too noisy to gate on); run locally with the default
 # BENCHTIME before sending a perf-sensitive change.
 bench-diff:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/obs ./internal/faults . \
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/engine ./internal/core ./internal/workload ./internal/obs ./internal/faults . \
 		| $(GO) run ./cmd/benchjson -diff BENCH_engine.json -allocs-exact 'BenchmarkEstimateSampleSizes'
 
 # bench-race drives the estimation hot path — pooled codec scratch,

@@ -269,7 +269,7 @@ func TestStatsShimFieldNames(t *testing.T) {
 		"samples_drawn", "samples_shared", "maintained_hits", "maintained_stale",
 		"indexes_prepared", "evaluated", "precision_hits", "coalesced_waits",
 		"shard_scatters", "shard_cache_hits", "shard_cache_misses",
-		"stratified_estimates", "strata_directory_builds",
+		"stratified_estimates", "strata_directory_builds", "strata_directory_bytes",
 		"adaptive_rounds", "adaptive_rows", "prepare_nanos", "sort_rows",
 		"panics_recovered", "shard_retries", "degraded_results",
 		"stale_served", "breaker_opens",
@@ -286,12 +286,13 @@ func TestStatsShimFieldNames(t *testing.T) {
 
 	st := srv.eng.Stats()
 	for field, engineValue := range map[string]uint64{
-		"cache_hits":    st.Hits,
-		"cache_misses":  st.Misses,
-		"samples_drawn": st.SamplesDrawn,
-		"evaluated":     st.Evaluated,
-		"sort_rows":     st.SortRows,
-		"cache_entries": uint64(st.CacheEntries),
+		"cache_hits":             st.Hits,
+		"cache_misses":           st.Misses,
+		"samples_drawn":          st.SamplesDrawn,
+		"evaluated":              st.Evaluated,
+		"sort_rows":              st.SortRows,
+		"cache_entries":          uint64(st.CacheEntries),
+		"strata_directory_bytes": uint64(st.StrataDirBytes),
 	} {
 		got, err := stats[field].Int64()
 		if err != nil {

@@ -352,6 +352,7 @@ var statsFields = []struct {
 	{"shard_cache_misses", engine.MetricShardMisses},
 	{"stratified_estimates", engine.MetricStratified},
 	{"strata_directory_builds", engine.MetricStrataDirBuilds},
+	{"strata_directory_bytes", engine.MetricStrataDirBytes},
 	{"adaptive_rounds", engine.MetricAdaptiveRounds},
 	{"adaptive_rows", engine.MetricAdaptiveRows},
 	{"prepare_nanos", engine.MetricPrepareNanos},

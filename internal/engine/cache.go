@@ -45,14 +45,19 @@ type cacheKey struct {
 // entries; real shard indices are ≥ 0.
 const wholeTable = -1
 
-// lru is the engine's one fixed-capacity LRU map, behind the result,
-// precision, strata-directory, and stale caches. Zero capacity disables
-// residency: Get always misses and Put stores nothing.
+// lru is the engine's one LRU map, behind the result, precision,
+// strata-directory, and stale caches. Capacity bounds the total weight of
+// resident entries — their count, unless weight is set. Zero capacity
+// disables residency: Get always misses and Put stores nothing.
 type lru[K comparable, V any] struct {
 	mu       sync.Mutex
-	capacity int
+	capacity int64
+	total    int64      // summed weight of resident entries
 	order    *list.List // front = most recent; values are *lruItem[K, V]
 	items    map[K]*list.Element
+	// weight, when set, sizes each entry (else every entry weighs 1). The
+	// most recent entry stays resident even when it alone exceeds capacity.
+	weight func(V) int64
 	// clone, when set, copies values on the way in and out, so no caller
 	// ever aliases a resident value.
 	clone func(V) V
@@ -68,14 +73,16 @@ type lruItem[K comparable, V any] struct {
 	val V
 }
 
+// maxLRUSizeHint caps the map pre-size: a weighted capacity is in bytes,
+// not entries.
+const maxLRUSizeHint = 1024
+
 func newLRU[K comparable, V any](capacity int) *lru[K, V] {
-	if capacity < 0 {
-		capacity = 0
-	}
+	capacity = max(capacity, 0)
 	return &lru[K, V]{
-		capacity: capacity,
+		capacity: int64(capacity),
 		order:    list.New(),
-		items:    make(map[K]*list.Element, capacity),
+		items:    make(map[K]*list.Element, min(capacity, maxLRUSizeHint)),
 	}
 }
 
@@ -99,8 +106,8 @@ func (c *lru[K, V]) Get(key K) (V, bool) {
 	return v, true
 }
 
-// Put stores v under key, refreshing its recency and evicting the
-// least-recently-used entry when over capacity. It returns the value
+// Put stores v under key, refreshing its recency and evicting
+// least-recently-used entries while over capacity. It returns the value
 // resident under key afterwards — v, or the kept incumbent (uncloned) —
 // which makes Put a get-or-create for pointer values.
 func (c *lru[K, V]) Put(key K, v V) V {
@@ -115,21 +122,39 @@ func (c *lru[K, V]) Put(key K, v V) V {
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
 		it := el.Value.(*lruItem[K, V])
-		if c.keep == nil || !c.keep(it.val, v) {
-			it.val = v
+		if c.keep != nil && c.keep(it.val, v) {
+			return it.val
 		}
-		return it.val
+		c.total += c.weigh(v) - c.weigh(it.val)
+		it.val = v
+	} else {
+		c.items[key] = c.order.PushFront(&lruItem[K, V]{key: key, val: v})
+		c.total += c.weigh(v)
 	}
-	c.items[key] = c.order.PushFront(&lruItem[K, V]{key: key, val: v})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem[K, V]).key)
+	for c.total > c.capacity && c.order.Len() > 1 {
+		oldest := c.order.Remove(c.order.Back()).(*lruItem[K, V])
+		delete(c.items, oldest.key)
+		c.total -= c.weigh(oldest.val)
 		if c.onEvict != nil {
 			c.onEvict()
 		}
 	}
 	return v
+}
+
+// weigh is v's share of the capacity.
+func (c *lru[K, V]) weigh(v V) int64 {
+	if c.weight == nil {
+		return 1
+	}
+	return c.weight(v)
+}
+
+// Weight reports the summed weight of resident entries.
+func (c *lru[K, V]) Weight() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
 }
 
 // Len reports the current entry count.

@@ -296,9 +296,11 @@ type Stats struct {
 	PanicsRecovered, ShardRetries, DegradedResults uint64
 	StaleServed, BreakerOpens                      uint64
 	// CacheEntries is the current LRU size; PrecisionEntries the current
-	// precision-cache size.
+	// precision-cache size; StrataDirBytes the directory index bytes
+	// resident in the strata-directory cache.
 	CacheEntries     int
 	PrecisionEntries int
+	StrataDirBytes   int64
 }
 
 // Engine owns the worker pool and result cache. Create with New, release
@@ -337,11 +339,15 @@ func New(cfg Config) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	dirBudget := 0
+	if cfg.CacheEntries > 0 {
+		dirBudget = strataDirBudget
+	}
 	e := &Engine{
 		cfg:        cfg,
 		cache:      newLRU[cacheKey, core.Estimate](cfg.CacheEntries),
 		precision:  newPrecisionCache(cfg.CacheEntries),
-		strataDirs: newStrataCache(cfg.CacheEntries),
+		strataDirs: newStrataCache(dirBudget),
 		stale:      newStaleCache(cfg.CacheEntries),
 		breakers:   make(map[breakerKey]*breaker),
 		registry:   reg,
@@ -357,6 +363,8 @@ func New(cfg Config) *Engine {
 		func() int64 { return int64(e.cache.Len()) })
 	reg.GaugeFunc(MetricPrecisionEntries, "Entries resident in the precision dominance cache.",
 		func() int64 { return int64(e.precision.Len()) })
+	reg.GaugeFunc(MetricStrataDirBytes, "Strata-directory index bytes resident in the directory cache.",
+		func() int64 { return e.strataDirs.Weight() })
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go func() {
@@ -418,6 +426,7 @@ func (e *Engine) Stats() Stats {
 		BreakerOpens:        e.breakerOpens.Value(),
 		CacheEntries:        e.cache.Len(),
 		PrecisionEntries:    e.precision.Len(),
+		StrataDirBytes:      e.strataDirs.Weight(),
 	}
 }
 

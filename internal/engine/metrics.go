@@ -111,6 +111,7 @@ const (
 	MetricInFlight         = "samplecf_engine_inflight_jobs"
 	MetricCacheEntries     = "samplecf_engine_cache_entries"
 	MetricPrecisionEntries = "samplecf_engine_precision_cache_entries"
+	MetricStrataDirBytes   = "samplecf_engine_strata_directory_bytes"
 	MetricStageDuration    = "samplecf_engine_stage_duration_seconds"
 )
 

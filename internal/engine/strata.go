@@ -50,15 +50,26 @@ type dirKey struct {
 // resolves the same key while the entry is resident.
 type dirEntry struct {
 	once sync.Once
-	dir  *sampling.StrataDirectory
-	err  error
+	// bytes is the directory's index size, 4 B per row of its table or
+	// shard: known before the build, so it weighs the entry from its Put.
+	bytes int64
+	dir   *sampling.StrataDirectory
+	err   error
 }
 
-// newStrataCache holds one directory entry per dirKey. The resident entry
-// always wins a Put, which makes Put a get-or-create: every resolver of a
-// key shares the first entry and its build.
-func newStrataCache(capacity int) *lru[dirKey, *dirEntry] {
-	c := newLRU[dirKey, *dirEntry](capacity)
+// strataDirBudget bounds the directory index bytes the strata cache keeps
+// resident: 64 MiB holds ~16M row indices, a few dozen directories of a
+// 250k-row table. A count bound would let the cache pin 4 B per row of
+// every table times its entry capacity.
+const strataDirBudget = 64 << 20
+
+// newStrataCache holds one directory entry per dirKey, weighed by index
+// bytes against budget; a lone directory over budget still stays resident.
+// The resident entry always wins a Put, which makes Put a get-or-create:
+// every resolver of a key shares the first entry and its build.
+func newStrataCache(budget int) *lru[dirKey, *dirEntry] {
+	c := newLRU[dirKey, *dirEntry](budget)
+	c.weight = func(ent *dirEntry) int64 { return ent.bytes }
 	c.keep = func(*dirEntry, *dirEntry) bool { return true }
 	return c
 }
@@ -102,7 +113,7 @@ func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols
 	ent := e.strataDirs.Put(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
-	}, &dirEntry{})
+	}, &dirEntry{bytes: 4 * tab.NumRows()})
 	ent.once.Do(func() {
 		e.strataDirBuilds.Add(1)
 		_, end := obs.StartSpan(ctx, stageStratify)

@@ -106,6 +106,72 @@ func TestStrataDirectoryReusedAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestStrataDirectoryCacheByteBudget: the directory cache is bounded by
+// index bytes (4 per table row), not entries. After many distinct key lists
+// the resident directories fit the budget, and Stats and the gauge report
+// the resident bytes.
+func TestStrataDirectoryCacheByteBudget(t *testing.T) {
+	off := New(Config{CacheEntries: -1})
+	off.Close()
+	if got := off.strataDirs.capacity; got != 0 {
+		t.Errorf("disabled caches: directory budget = %d, want 0", got)
+	}
+	const n = 2000
+	tab := testTable(t, "dirbudget", n, 5)
+	e := New(Config{Workers: 2})
+	defer e.Close()
+	if got := e.strataDirs.capacity; got != strataDirBudget {
+		t.Fatalf("directory budget = %d, want %d", got, strataDirBudget)
+	}
+	const budget = 5 * 4 * n
+	e.strataDirs = newStrataCache(budget)
+	for strata := 2; strata < 32; strata++ {
+		res := e.Estimate(context.Background(), Request{
+			Table: tab, Codec: codec(t, "nullsuppression"), SampleRows: 200, Seed: 1, Strata: strata,
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	st := e.Stats()
+	if st.StrataDirBuilds != 30 {
+		t.Errorf("StrataDirBuilds = %d, want 30 distinct builds", st.StrataDirBuilds)
+	}
+	if st.StrataDirBytes > budget || e.strataDirs.Len() != 5 {
+		t.Errorf("resident: %d B in %d directories, want ≤ %d B in 5", st.StrataDirBytes, e.strataDirs.Len(), budget)
+	}
+	if v, ok := e.Registry().Value(MetricStrataDirBytes); !ok || v != float64(st.StrataDirBytes) {
+		t.Errorf("gauge = %v (%v), want Stats' %d", v, ok, st.StrataDirBytes)
+	}
+}
+
+// TestStrataDirectoryOverBudgetStaysAlone: a directory larger than the
+// whole budget is still cached, alone, and serves its repeat requests.
+func TestStrataDirectoryOverBudgetStaysAlone(t *testing.T) {
+	const n = 3000
+	tab := testTable(t, "dirhuge", n, 6)
+	e := New(Config{Workers: 2, CacheEntries: -1})
+	defer e.Close()
+	e.strataDirs = newStrataCache(4*n - 1)
+	for i, strata := range []int{4, 8, 8} {
+		res := e.Estimate(context.Background(), Request{
+			Table: tab, Codec: codec(t, "rle"), SampleRows: 300, Seed: uint64(i), Strata: strata,
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if got := e.strataDirs.Len(); got != 1 {
+			t.Fatalf("request %d: %d directories resident, want 1", i, got)
+		}
+		if got := e.Stats().StrataDirBytes; got != 4*n {
+			t.Fatalf("request %d: %d B resident, want %d", i, got, 4*n)
+		}
+	}
+	if builds := e.Stats().StrataDirBuilds; builds != 2 {
+		t.Errorf("StrataDirBuilds = %d, want 2: the repeat must reuse the lone resident directory", builds)
+	}
+}
+
 // TestStratifiedAdaptiveConverges runs the precision-targeted stratified
 // loop end to end on a skewed table and checks the dominance cache answers
 // the repeat ask.

@@ -33,13 +33,19 @@ type RNG struct {
 // New returns a generator seeded from seed. Distinct seeds yield
 // decorrelated streams.
 func New(seed uint64) *RNG {
-	sm := seed
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream New(seed) returns, so a loop that
+// derives one generator per item can reuse a single RNG.
+func (r *RNG) Seed(seed uint64) {
+	sm := seed
 	r.state = splitMix64(&sm)
 	r.inc = splitMix64(&sm) | 1
 	// Advance once so that state reflects inc.
 	r.next()
-	return r
 }
 
 // Derive returns a new independent generator deterministically derived from r

@@ -16,6 +16,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedResetsToNewStream: reseeding a used generator in place yields the
+// stream New returns for that seed.
+func TestSeedResetsToNewStream(t *testing.T) {
+	r := New(7)
+	r.Uint64()
+	for _, seed := range []uint64{0, 42, 1 << 63} {
+		r.Seed(seed)
+		fresh := New(seed)
+		for i := 0; i < 100; i++ {
+			if got, want := r.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("seed %d, draw %d: %d, want %d", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSeedsDecorrelated(t *testing.T) {
 	a := New(0)
 	b := New(1)

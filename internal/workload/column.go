@@ -13,7 +13,9 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"samplecf/internal/distrib"
 	"samplecf/internal/rng"
@@ -29,7 +31,12 @@ type ColumnGen interface {
 	Dist() distrib.Discrete
 	// Payload materializes the payload for domain index v. It must be
 	// deterministic in v and injective (distinct v ⇒ distinct payload).
+	// Implementations return AppendPayload(nil, v).
 	Payload(v int64) []byte
+	// AppendPayload appends the payload for domain index v to dst and
+	// returns the extended slice — the allocation-free form of Payload
+	// that Generate uses to write payloads straight into its slab.
+	AppendPayload(dst []byte, v int64) []byte
 	// Describe identifies the generator in experiment output.
 	Describe() string
 }
@@ -98,18 +105,23 @@ func (s *StringColumn) Type() value.Type { return s.Typ }
 func (s *StringColumn) Dist() distrib.Discrete { return s.D }
 
 // Payload implements ColumnGen.
-func (s *StringColumn) Payload(v int64) []byte {
+func (s *StringColumn) Payload(v int64) []byte { return s.AppendPayload(nil, v) }
+
+// AppendPayload implements ColumnGen.
+func (s *StringColumn) AppendPayload(dst []byte, v int64) []byte {
 	r := rng.New(s.Seed ^ uint64(v)*0x9e3779b97f4a7c15)
 	l := s.Lengths.DrawLen(r)
 	if l < s.digits {
 		l = s.digits
 	}
-	out := make([]byte, l)
+	start := len(dst)
+	dst = slices.Grow(dst, l)[:start+l]
+	out := dst[start:]
 	encodeBase62(out[:s.digits], v, s.digits)
 	for i := s.digits; i < l; i++ {
 		out[i] = byte('a' + r.Intn(26))
 	}
-	return out
+	return dst
 }
 
 // Describe implements ColumnGen.
@@ -146,11 +158,15 @@ func (c *IntColumn) Type() value.Type { return c.Typ }
 func (c *IntColumn) Dist() distrib.Discrete { return c.D }
 
 // Payload implements ColumnGen.
-func (c *IntColumn) Payload(v int64) []byte {
+func (c *IntColumn) Payload(v int64) []byte { return c.AppendPayload(nil, v) }
+
+// AppendPayload implements ColumnGen: the big-endian bytes value.IntValue
+// and value.Int64Value produce.
+func (c *IntColumn) AppendPayload(dst []byte, v int64) []byte {
 	if c.Typ.Kind == value.KindInt32 {
-		return value.IntValue(int32(v + c.Offset))
+		return binary.BigEndian.AppendUint32(dst, uint32(int32(v+c.Offset)))
 	}
-	return value.Int64Value(v + c.Offset)
+	return binary.BigEndian.AppendUint64(dst, uint64(v+c.Offset))
 }
 
 // Describe implements ColumnGen.

@@ -58,26 +58,96 @@ func (s Spec) Schema() (*value.Schema, error) {
 	return value.NewSchema(cols...)
 }
 
-// rowOf materializes row i of the spec: one independent domain draw per
-// column from a per-(seed, column, row) derived generator.
+// rowOf materializes row i of the spec on its own: one header block, one
+// payload buffer sized for the widest row, and one generator for the draws.
 func (s Spec) rowOf(i int64) value.Row {
-	row := make(value.Row, len(s.Cols))
-	for c, col := range s.Cols {
-		r := rng.New(s.Seed ^ uint64(c+1)*0xd1342543de82ef95 ^ uint64(i)*0x9e3779b97f4a7c15)
-		v := col.Gen.Dist().Draw(r)
-		row[c] = col.Gen.Payload(v)
+	width := 0
+	for _, col := range s.Cols {
+		width += col.Gen.Type().FixedWidth()
 	}
+	row := make(value.Row, len(s.Cols))
+	s.appendRow(make([]byte, 0, width), row, i, new(rng.RNG))
 	return row
 }
 
-// domainOf returns the domain index drawn for (row i, column c) — the same
-// draw rowOf makes, exposed for exact distinct counting.
-func (s Spec) domainOf(i int64, c int) int64 {
-	r := rng.New(s.Seed ^ uint64(c+1)*0xd1342543de82ef95 ^ uint64(i)*0x9e3779b97f4a7c15)
+// appendRow appends row i's payloads to buf — one independent domain draw
+// per column, domainOf's, made with the scratch generator r — and points
+// row's values at them. It returns the extended buffer.
+func (s Spec) appendRow(buf []byte, row value.Row, i int64, r *rng.RNG) []byte {
+	start := len(buf)
+	for c, col := range s.Cols {
+		n := len(buf)
+		buf = col.Gen.AppendPayload(buf, s.draw(r, i, c))
+		row[c] = buf[n:]
+	}
+	rebase(row, buf[start:])
+	return buf
+}
+
+// rebase points vals, laid out back to back from the start of buf, at buf's
+// current backing array (an append that grew buf left them on the old one).
+// Every value is cap-clamped, so an append to one value reallocates rather
+// than overwriting its neighbour.
+func rebase(vals [][]byte, buf []byte) {
+	off := 0
+	for k, v := range vals {
+		end := off + len(v)
+		vals[k] = buf[off:end:end]
+		off = end
+	}
+}
+
+// domainOf returns the domain index drawn for (row i, column c); stats code
+// counts distincts over these indices.
+func (s Spec) domainOf(i int64, c int) int64 { return s.draw(new(rng.RNG), i, c) }
+
+// draw makes domainOf's draw with r, reseeded by the per-(seed, column, row)
+// derivation.
+func (s Spec) draw(r *rng.RNG, i int64, c int) int64 {
+	r.Seed(s.Seed ^ uint64(c+1)*0xd1342543de82ef95 ^ uint64(i)*0x9e3779b97f4a7c15)
 	return s.Cols[c].Gen.Dist().Draw(r)
 }
 
-// Table is a fully materialized synthetic table. It implements
+// materialize generates every row of the spec into two row-ordered slabs:
+// one holding all value headers (row i is a cap-clamped sub-slice of it) and
+// one holding all payloads, so a scan walks memory in order instead of
+// chasing one heap object per value.
+func (s Spec) materialize() []value.Row {
+	nc := int64(len(s.Cols))
+	vals := make([][]byte, s.N*nc)
+	rows := make([]value.Row, s.N)
+	buf := make([]byte, 0, s.payloadHint())
+	r := new(rng.RNG)
+	for i := range rows {
+		lo, hi := int64(i)*nc, int64(i+1)*nc
+		oldCap := cap(buf)
+		buf = s.appendRow(buf, vals[lo:hi:hi], int64(i), r)
+		if cap(buf) != oldCap {
+			rebase(vals[:lo], buf)
+		}
+		rows[i] = vals[lo:hi:hi]
+	}
+	return rows
+}
+
+// payloadHint estimates the payload slab's size so it rarely grows: the
+// mean length of string columns (at least their prefix width), the fixed
+// width of the rest, plus 1/64 slack. Skewed domains can still outgrow it;
+// materialize then rebases the rows already written.
+func (s Spec) payloadHint() int {
+	perRow := 0.0
+	for _, col := range s.Cols {
+		if sc, ok := col.Gen.(*StringColumn); ok {
+			perRow += max(sc.Lengths.Mean(), float64(sc.digits))
+		} else {
+			perRow += float64(col.Gen.Type().FixedWidth())
+		}
+	}
+	return int(perRow * float64(s.N) * (1 + 1.0/64))
+}
+
+// Table is a fully materialized synthetic table. Generated tables store
+// their rows contiguously (see materialize). It implements
 // catalog.Table (the embedded Version supplies epoch + instance id;
 // physical reorders bump the epoch); AsPageSource adapts it for block
 // sampling.
@@ -102,11 +172,7 @@ func Generate(spec Spec) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]value.Row, spec.N)
-	for i := int64(0); i < spec.N; i++ {
-		rows[i] = spec.rowOf(i)
-	}
-	t := &Table{Version: catalog.NewVersion(), name: spec.Name, schema: schema, rows: rows}
+	t := &Table{Version: catalog.NewVersion(), name: spec.Name, schema: schema, rows: spec.materialize()}
 	if spec.Layout == LayoutClustered {
 		t.SortByColumn(0)
 	}
