@@ -56,7 +56,9 @@ bench-diff:
 # bench-race drives the estimation hot path — pooled codec scratch,
 # parallel page compression, shared arenas — the telemetry instruments,
 # the stratified adaptive loop (per-stratum resumable streams extending
-# concurrently), and the serving-path concurrency machinery (snapshot
+# concurrently), the chunk-parallel stratify scan (at -cpu 2, so its chunk
+# goroutines run even on a one-core host), and the serving-path
+# concurrency machinery (snapshot
 # publication racing estimator reads in ConcurrentMixed, the coalescing
 # flight group absorbing a CoalescedStampede) under the race detector so
 # a data race in pooling, fan-out, stream extension, snapshot swap,
@@ -65,4 +67,5 @@ bench-race:
 	$(GO) test -race -bench EstimateSampleSizes -benchtime 1x -run '^$$' .
 	$(GO) test -race -bench ObsOverhead -benchtime 1x -run '^$$' ./internal/obs
 	$(GO) test -race -bench AdaptiveStratifiedZipf -benchtime 1x -run '^$$' ./internal/engine
+	$(GO) test -race -bench StratifyTable -benchtime 1x -cpu 2 -run '^$$' ./internal/core
 	$(GO) test -race -bench 'ConcurrentMixed|CoalescedStampede' -benchtime 1x -run '^$$' ./internal/engine

@@ -128,9 +128,21 @@ func diff(w io.Writer, path string, fresh *document, threshold float64, exactRe 
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return false, fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	baseBy := make(map[string]result, len(base.Results))
+	// A baseline may record one benchmark at several GOMAXPROCS values:
+	// match on (name, procs) first, and fall back to the name's first
+	// entry so baselines from hosts with other core counts still line up.
+	type benchKey struct {
+		name  string
+		procs int
+	}
+	baseBy := make(map[benchKey]result, len(base.Results))
+	baseByName := make(map[string]result, len(base.Results))
 	for _, r := range base.Results {
-		baseBy[normalizeName(r.Name)] = r
+		name := normalizeName(r.Name)
+		baseBy[benchKey{name, r.Procs}] = r
+		if _, ok := baseByName[name]; !ok {
+			baseByName[name] = r
+		}
 	}
 
 	type line struct {
@@ -142,7 +154,13 @@ func diff(w io.Writer, path string, fresh *document, threshold float64, exactRe 
 	regressed := false
 	for _, cur := range fresh.Results {
 		name := normalizeName(cur.Name)
-		old, ok := baseBy[name]
+		old, ok := baseBy[benchKey{name, cur.Procs}]
+		if !ok {
+			old, ok = baseByName[name]
+		}
+		if cur.Procs > 1 {
+			name += "-" + strconv.Itoa(cur.Procs)
+		}
 		if !ok {
 			lines = append(lines, line{name: name, text: fmt.Sprintf("%-55s NEW  %12.0f ns/op", name, cur.NsPerOp)})
 			continue

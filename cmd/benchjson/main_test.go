@@ -124,3 +124,27 @@ func TestParseProcs(t *testing.T) {
 		t.Errorf("document gomaxprocs = %d, want >= 1", doc.GoMaxProcs)
 	}
 }
+
+// TestDiffMatchesProcs: a baseline recording one benchmark at GOMAXPROCS
+// 1 and 2 compares each fresh result with the entry of its own procs.
+func TestDiffMatchesProcs(t *testing.T) {
+	base := writeBaseline(t, document{Results: []result{
+		{Name: "BenchmarkScan", Procs: 1, NsPerOp: 1000},
+		{Name: "BenchmarkScan-2", Procs: 2, NsPerOp: 500},
+	}})
+	fresh := &document{Results: []result{
+		{Name: "BenchmarkScan", Procs: 1, NsPerOp: 1010},
+		{Name: "BenchmarkScan-2", Procs: 2, NsPerOp: 510},
+	}}
+	var out strings.Builder
+	regressed, err := diff(&out, base, fresh, 0.25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressed {
+		t.Fatalf("per-procs results regressed against the other procs' entry:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkScan-2 ") {
+		t.Fatalf("report does not name the procs-2 result:\n%s", out.String())
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"samplecf/internal/rng"
@@ -184,75 +183,124 @@ func MergeStratified(weights []float64, ests []Estimate) Estimate {
 	return out
 }
 
-// EstimateStratified runs the fixed-size stratified estimator: each arm
-// draws its allocated rows, prepares and compresses independently (bounded
-// fan-out over the workgroup semaphore), and the per-arm estimates merge by
-// stratified composition.
+// EstimateStratified runs the fixed-size stratified estimator: every arm
+// draws its allocated rows and prepares its sorted index (PrepareArms),
+// then the arms compress under opts.Codec and merge by stratified
+// composition (ArmSet.Estimate).
 func EstimateStratified(arms []StratumArm, alloc []int64, opts Options) (Estimate, error) {
-	if err := opts.Validate(); err != nil {
+	if err := validateCodecOpts(opts); err != nil {
 		return Estimate{}, err
 	}
-	opts = opts.withDefaults()
-	if opts.Codec == nil {
-		return Estimate{}, fmt.Errorf("core: Options.Codec is required")
+	set, err := PrepareArms(arms, alloc)
+	if err != nil {
+		return Estimate{}, err
 	}
+	return set.Estimate(opts)
+}
+
+// ArmSet is a fixed-size stratified sample drawn and prepared once: one
+// sorted index per arm, codec-independent, so every codec of a what-if
+// batch compresses the same per-arm samples. Estimate is safe for
+// concurrent use.
+type ArmSet struct {
+	arms      []StratumArm
+	preps     []*PreparedIndex
+	sampleDur []time.Duration
+}
+
+// PrepareArms draws each arm's allocated rows and prepares its index, the
+// arms fanned out over the bounded workgroup. Every failed arm's error is
+// joined into the one returned.
+func PrepareArms(arms []StratumArm, alloc []int64) (*ArmSet, error) {
 	if len(arms) == 0 {
-		return Estimate{}, fmt.Errorf("core: stratified estimation needs at least one stratum")
+		return nil, fmt.Errorf("core: stratified estimation needs at least one stratum")
 	}
 	if len(alloc) != len(arms) {
-		return Estimate{}, fmt.Errorf("core: %d allocations for %d strata", len(alloc), len(arms))
+		return nil, fmt.Errorf("core: %d allocations for %d strata", len(alloc), len(arms))
 	}
-	ests := make([]Estimate, len(arms))
+	set := &ArmSet{arms: arms, preps: make([]*PreparedIndex, len(arms)), sampleDur: make([]time.Duration, len(arms))}
 	errs := make([]error, len(arms))
-	eval := func(i int) {
+	workgroup.Each(len(arms), func(i int) {
+		defer workgroup.Recover(&errs[i])
 		t0 := time.Now()
 		ar, err := arms[i].Draw(alloc[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
 			return
 		}
-		sampleDur := time.Since(t0)
-		prep, err := PrepareFromArena(ar, arms[i].Rows, nil)
-		if err != nil {
+		set.sampleDur[i] = time.Since(t0)
+		if set.preps[i], err = PrepareFromArena(ar, arms[i].Rows, nil); err != nil {
 			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
-			return
 		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// NumArms returns the number of arms in the set.
+func (s *ArmSet) NumArms() int { return len(s.arms) }
+
+// PrepDuration totals the arms' encode+sort+profile time.
+func (s *ArmSet) PrepDuration() time.Duration {
+	var d time.Duration
+	for _, p := range s.preps {
+		d += p.PrepDuration()
+	}
+	return d
+}
+
+// SampleRows totals the rows the arms drew.
+func (s *ArmSet) SampleRows() int64 {
+	var r int64
+	for _, p := range s.preps {
+		r += p.SampleRows()
+	}
+	return r
+}
+
+// Estimate compresses every arm's prepared index under opts.Codec (each
+// arm's bootstrap stream seeded by its own Seed) and merges the per-arm
+// estimates by stratified composition.
+func (s *ArmSet) Estimate(opts Options) (Estimate, error) {
+	if err := validateCodecOpts(opts); err != nil {
+		return Estimate{}, err
+	}
+	ests := make([]Estimate, len(s.arms))
+	errs := make([]error, len(s.arms))
+	workgroup.Each(len(s.arms), func(i int) {
+		defer workgroup.Recover(&errs[i])
 		armOpts := opts
-		armOpts.Seed = arms[i].Seed
-		est, err := prep.Estimate(armOpts)
+		armOpts.Seed = s.arms[i].Seed
+		est, err := s.preps[i].Estimate(armOpts)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: %s: %w", arms[i].Label, err)
+			errs[i] = fmt.Errorf("core: %s: %w", s.arms[i].Label, err)
 			return
 		}
-		est.SampleDuration = sampleDur
+		est.SampleDuration = s.sampleDur[i]
 		ests[i] = est
+	})
+	if err := errors.Join(errs...); err != nil {
+		return Estimate{}, err
 	}
-	sem := workgroup.NewSem(workgroup.Limit(len(arms)) - 1)
-	var wg sync.WaitGroup
-	for i := range arms {
-		if sem.TryAcquire() {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer sem.Release()
-				defer workgroup.Recover(&errs[i])
-				eval(i)
-			}(i)
-		} else {
-			eval(i)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Estimate{}, err
-		}
-	}
-	weights := make([]float64, len(arms))
-	for i := range arms {
-		weights[i] = arms[i].Weight
+	weights := make([]float64, len(s.arms))
+	for i := range s.arms {
+		weights[i] = s.arms[i].Weight
 	}
 	return MergeStratified(weights, ests), nil
+}
+
+// validateCodecOpts rejects options no arm could estimate under, before
+// any arm draws or compresses.
+func validateCodecOpts(opts Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if opts.Codec == nil {
+		return fmt.Errorf("core: Options.Codec is required")
+	}
+	return nil
 }
 
 // Droppable marks an arm's Extend failure as one the caller tolerates:
@@ -344,21 +392,9 @@ func AdaptiveEstimateStratified(arms []StratumArm, round0 []int64, target Precis
 	// an engine pool — callers may already run on a pool worker), then
 	// drops the Droppable failures or fails the loop.
 	scatter := func(targets []*armLoop, extras []int64) error {
-		sem := workgroup.NewSem(workgroup.Limit(len(targets)) - 1)
-		var wg sync.WaitGroup
-		for i, l := range targets {
-			if sem.TryAcquire() {
-				wg.Add(1)
-				go func(l *armLoop, extra int64) {
-					defer wg.Done()
-					defer sem.Release()
-					l.err = grow(l, extra)
-				}(l, extras[i])
-			} else {
-				l.err = grow(l, extras[i])
-			}
-		}
-		wg.Wait()
+		workgroup.Each(len(targets), func(i int) {
+			targets[i].err = grow(targets[i], extras[i])
+		})
 		var errs []error
 		strict := false
 		for _, l := range targets {

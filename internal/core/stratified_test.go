@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"samplecf/internal/sampling"
@@ -410,5 +412,71 @@ func TestStrataBuildRejectsMoreThanUint32Rows(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("%d bounds: allocated %d bytes before failing", len(bounds), grew)
 		}
+	}
+}
+
+// TestArmSetSharedAcrossCodecs: one prepared arm set answers every codec
+// — concurrently — exactly as a fresh EstimateStratified per codec does,
+// and PrepareArms joins every failed arm's error under its label.
+func TestArmSetSharedAcrossCodecs(t *testing.T) {
+	tab := adaptiveTable(t, "zipf", 20000, 3)
+	bounds, err := StratumBoundaries(tab, tab.Schema(), nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := StratifyTable(tab, tab.Schema(), nil, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 17
+	arms := func() ([]StratumArm, []int64) {
+		arms := DirectoryArms(tab, tab.Schema(), nil, dir, seed)
+		counts := make([]int64, len(arms))
+		for i := range arms {
+			counts[i] = arms[i].Rows
+		}
+		return arms, sampling.Allocate(900, counts, nil)
+	}
+	a, alloc := arms()
+	set, err := PrepareArms(a, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.NumArms() != len(a) || set.SampleRows() != 900 {
+		t.Fatalf("arm set: %d arms, %d rows; want %d, 900", set.NumArms(), set.SampleRows(), len(a))
+	}
+	names := []string{"nullsuppression", "rle", "pagedict+ns", "prefix"}
+	shared := make([]Estimate, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[i], errs[i] = set.Estimate(Options{Codec: mustCodec(t, name), Seed: seed, Strata: 6})
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		a, alloc := arms()
+		want, err := EstimateStratified(a, alloc, Options{Codec: mustCodec(t, name), Seed: seed, Strata: 6})
+		if err != nil || errs[i] != nil {
+			t.Fatalf("%s: %v / %v", name, err, errs[i])
+		}
+		got := shared[i]
+		if got.CF != want.CF || got.SampleRows != want.SampleRows || got.SampleDistinct != want.SampleDistinct ||
+			got.Result.CompressedBytes != want.Result.CompressedBytes || !reflect.DeepEqual(got.Profile, want.Profile) {
+			t.Errorf("%s: shared arm set (CF %v, r %d) != fresh (CF %v, r %d)", name, got.CF, got.SampleRows, want.CF, want.SampleRows)
+		}
+	}
+
+	boom := errors.New("boom")
+	a, alloc = arms()
+	for _, i := range []int{0, 2} {
+		a[i].Draw = func(int64) (*value.RecordArena, error) { return nil, boom }
+	}
+	if _, err := PrepareArms(a, alloc); !errors.Is(err, boom) ||
+		!strings.Contains(err.Error(), a[0].Label) || !strings.Contains(err.Error(), a[2].Label) {
+		t.Errorf("PrepareArms error %v, want both failed arms joined", err)
 	}
 }

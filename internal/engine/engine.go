@@ -10,7 +10,9 @@
 //   - shared-sample batching — one uniform sample is drawn per
 //     (table, fraction|rows, seed) and reused by every candidate in the
 //     batch, and the encoded, key-sorted index build (core.PreparedIndex)
-//     is shared by every codec of the same column set;
+//     is shared by every codec of the same column set; stratified
+//     candidates share one drawn and prepared arm set (core.ArmSet) per
+//     (table, column set, strata, rows, seed);
 //   - a worker pool — candidates evaluate concurrently across a bounded
 //     set of goroutines shared by all in-flight batches;
 //   - an LRU result cache keyed by (table instance id, version epoch, key
@@ -549,17 +551,20 @@ type batchItem struct {
 	// partitioned table: one work unit per non-empty shard, some possibly
 	// pre-answered from the per-shard cache.
 	shards []*shardWork
-	// stratified marks a fixed-r request routed through the stratified
-	// evaluator (Request.Strata > 0): per-stratum streams, no group dedup.
-	stratified bool
+	// stg, when non-nil, marks a fixed-r request routed through the
+	// stratified evaluator (Request.Strata > 0): its arm set is drawn and
+	// prepared once per strataGroup.
+	stg *strataGroup
 }
 
 // WhatIf evaluates a batch of candidates, drawing each distinct
 // (table, sample size, seed) sample once and each distinct
-// (sample, key columns) index build once, fanning the per-codec
-// compression work across the worker pool. The result slice is parallel to
-// reqs. ctx bounds the batch: items not started before ctx expires carry
-// ctx's error; items already running complete.
+// (sample, key columns) index build once — for stratified candidates, each
+// distinct (table, key columns, strata, sample size, seed) arm set once —
+// fanning the per-codec compression work across the worker pool. The
+// result slice is parallel to reqs. ctx bounds the batch: items not
+// started before ctx expires carry ctx's error; items already running
+// complete.
 func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -573,6 +578,7 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 	prepGroups := make(map[pgKey]*prepGroup)
 	adaptiveGroups := make(map[adaptiveGroupKey]*adaptiveGroup)
 	round0Groups := make(map[round0Key]*round0Group)
+	strataGroups := make(map[strataKey]*strataGroup)
 	var pending []*batchItem
 
 	for i, req := range reqs {
@@ -653,11 +659,11 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 			continue
 		}
 		if req.Strata > 0 {
-			// Stratified fixed-r request: no sample/prep dedup (draws are
-			// per-stratum streams) and no per-shard scatter cache — the
-			// merged estimate caches under the request-level key, and the
-			// expensive shared artifact (the strata directory) has its own
-			// per-table-version cache.
+			// Stratified fixed-r request: no per-shard scatter cache — the
+			// merged estimate caches under the request-level key, the
+			// strata directory has its own per-table-version cache, and
+			// batch-mates over the same key list, strata, r and seed share
+			// one drawn and prepared arm set (strataGroup).
 			key := cacheKey{
 				inst:     req.Table.InstanceID(),
 				epoch:    epoch,
@@ -677,7 +683,15 @@ func (e *Engine) WhatIf(ctx context.Context, reqs []Request) []Result {
 				continue
 			}
 			e.misses.Add(1)
-			pending = append(pending, &batchItem{idx: i, req: req, pageSize: pageSize, key: key, stratified: true})
+			gk := strataKey{dir: dirKey{inst: key.inst, epoch: epoch, columns: key.columns, strata: req.Strata},
+				r: r, seed: req.Seed}
+			stg, ok := strataGroups[gk]
+			if !ok {
+				stg = &strataGroup{r: r}
+				strataGroups[gk] = stg
+			}
+			stg.members++
+			pending = append(pending, &batchItem{idx: i, req: req, pageSize: pageSize, key: key, stg: stg})
 			continue
 		}
 		if sh, ok := req.Table.(catalog.Sharded); ok {
@@ -819,7 +833,7 @@ func (e *Engine) evaluateItem(ctx context.Context, it *batchItem) Result {
 	if it.req.TargetError > 0 {
 		return e.evaluateAdaptive(ctx, it)
 	}
-	if it.stratified {
+	if it.stg != nil {
 		return e.evaluateStratified(ctx, it)
 	}
 	if it.shards != nil {

@@ -65,9 +65,13 @@ type flightGroup struct {
 // flightKey resolves the coalescing key for a batch item: the result-cache
 // key for fixed-r and stratified requests, the adaptive group key
 // (reconstructed exactly as WhatIf builds it) for precision-targeted ones,
-// and nil — no coalescing — for scattered items.
+// and nil — no coalescing — for scattered items and for the breaker's
+// background refreshes. A refresh shares its cache key with the probe that
+// spawned it, whose flight stays open until the probe's stale answer is
+// published: joining it would hand the refresh that stale result, and the
+// breaker would never hear the refresh's outcome.
 func flightKey(it *batchItem) any {
-	if it.shards != nil {
+	if it.shards != nil || it.req.bypassBreaker {
 		return nil
 	}
 	if it.req.TargetError > 0 {

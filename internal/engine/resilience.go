@@ -12,7 +12,8 @@
 //   - panic traps at every goroutine boundary the engine owns (pool
 //     workers, shard fan-outs, once-group closures) convert panics into
 //     per-item errors carrying the injection point and stack;
-//   - failed shard work units and adaptive arm draws retry with capped
+//   - failed shard work units and arm draws (strata, shards, and
+//     shard×stratum cells, fixed-r and adaptive) retry with capped
 //     jittered backoff before the request gives up on them (transient
 //     faults heal invisibly);
 //   - Request.AllowPartial lets a request over a partitioned table
@@ -122,30 +123,30 @@ func (e *Engine) retry(ctx context.Context, seed uint64, attempt func(retry bool
 const retryJitterSalt = 0x5ca77e27e7121e55
 
 // guardArms writes the engine's resilience once, at the arm boundary of an
-// adaptive arm set: every Extend draw checks ctx, fires the
-// engine.scatter[shard] fault point (shard arms only; shardOf is parallel
-// to arms, wholeTable for an unsharded table's strata), runs under the
-// panic trap, and retries with backoff. When partial is set, a draw still
-// failing after its retries is marked core.Droppable, so the loop drops
-// the arm instead of failing the request.
+// arm set: every Draw (fixed-r) and Extend (adaptive) call checks ctx,
+// fires the engine.scatter[shard] fault point (shard arms only; shardOf is
+// parallel to arms, wholeTable for an unsharded table's strata), runs under
+// the panic trap, and retries with backoff. When partial is set, a draw
+// still failing after its retries is marked core.Droppable, so the adaptive
+// loop drops the arm instead of failing the request.
 func (e *Engine) guardArms(ctx context.Context, arms []core.StratumArm, shardOf []int, partial bool) {
 	for i := range arms {
-		ext, shard, seed := arms[i].Extend, shardOf[i], arms[i].Seed
-		draw := func(round int, extra int64) (ar *value.RecordArena, err error) {
-			defer e.trapShardPanic(&err)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if shard != wholeTable {
-				if err := scatterPoint.Check1(uint64(shard)); err != nil {
+		shard, seed := shardOf[i], arms[i].Seed
+		guard := func(draw func() (*value.RecordArena, error)) (ar *value.RecordArena, err error) {
+			attempt := func() (ar *value.RecordArena, err error) {
+				defer e.trapShardPanic(&err)
+				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
+				if shard != wholeTable {
+					if err := scatterPoint.Check1(uint64(shard)); err != nil {
+						return nil, err
+					}
+				}
+				return draw()
 			}
-			return ext(round, extra)
-		}
-		arms[i].Extend = func(round int, extra int64) (ar *value.RecordArena, err error) {
 			e.retry(ctx, seed, func(bool) int {
-				if ar, err = draw(round, extra); retryable(err) {
+				if ar, err = attempt(); retryable(err) {
 					return 1
 				}
 				return 0
@@ -154,6 +155,16 @@ func (e *Engine) guardArms(ctx context.Context, arms []core.StratumArm, shardOf 
 				err = core.Droppable(err)
 			}
 			return ar, err
+		}
+		if draw := arms[i].Draw; draw != nil {
+			arms[i].Draw = func(r int64) (*value.RecordArena, error) {
+				return guard(func() (*value.RecordArena, error) { return draw(r) })
+			}
+		}
+		if ext := arms[i].Extend; ext != nil {
+			arms[i].Extend = func(round int, extra int64) (*value.RecordArena, error) {
+				return guard(func() (*value.RecordArena, error) { return ext(round, extra) })
+			}
 		}
 	}
 }
@@ -369,7 +380,8 @@ func (e *Engine) noteOutcome(it *batchItem, res Result) {
 // the same request, breaker bypassed, on a fresh context. Its outcome
 // flows through noteOutcome like any computation — success closes the
 // breaker and refreshes the stale entry; failure re-arms the cooldown.
-// Concurrent identical refreshes coalesce through the flight group.
+// Refreshes never coalesce (flightKey), so every refresh computes and its
+// outcome always reaches the breaker.
 func (e *Engine) spawnRefresh(req Request) {
 	req.bypassBreaker = true
 	e.bg.Add(1)

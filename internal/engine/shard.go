@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"samplecf/internal/catalog"
@@ -270,25 +269,10 @@ func (e *Engine) evaluateScatter(ctx context.Context, it *batchItem) Result {
 // workgroup semaphore, each under the shard panic trap (goroutine and
 // inline fallback alike).
 func (e *Engine) scatterShardWork(ctx context.Context, it *batchItem, works []*shardWork) {
-	sem := workgroup.NewSem(workgroup.Limit(len(works)) - 1)
-	var wg sync.WaitGroup
-	for _, w := range works {
-		if sem.TryAcquire() {
-			wg.Add(1)
-			go func(w *shardWork) {
-				defer wg.Done()
-				defer sem.Release()
-				defer e.trapShardPanic(&w.err)
-				e.evaluateShardWork(ctx, it, w)
-			}(w)
-		} else {
-			func() {
-				defer e.trapShardPanic(&w.err)
-				e.evaluateShardWork(ctx, it, w)
-			}()
-		}
-	}
-	wg.Wait()
+	workgroup.Each(len(works), func(i int) {
+		defer e.trapShardPanic(&works[i].err)
+		e.evaluateShardWork(ctx, it, works[i])
+	})
 }
 
 // evaluateShardWork is the per-shard slice of evaluate: the fixed-r work

@@ -13,11 +13,15 @@
 // precision-targeted request: a shard is an arm like a stratum, so
 // runArmsAdaptive drives them all through core.AdaptiveEstimateStratified,
 // with retries, fault points, and partial-result degradation applied once
-// at the arm boundary (guardArms).
+// at the arm boundary (guardArms) — which guards fixed-r stratified draws
+// too.
 //
 // Stratified draws are always fresh: the directory indexes physical row
-// positions, so per-stratum streams must read the table itself — the
-// maintained-sample fast path serves only boundary resolution here.
+// positions, so per-stratum streams must read the table itself (its
+// snapshot at the request's epoch, when published) — the maintained-sample
+// fast path serves only boundary resolution here. A fixed-r batch draws
+// and prepares each key list's arm set once for all its codecs
+// (strataGroup).
 package engine
 
 import (
@@ -77,8 +81,8 @@ func newStrataCache(budget int) *lru[dirKey, *dirEntry] {
 // resolveBounds picks the cheapest available boundary source for one table:
 // an existing ordered index's separator walk (no row access at all), the
 // maintained reservoir's observed keys at the matching epoch (no storage
-// draw), and only then the fixed-seed pilot sample.
-func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata int) ([][]byte, error) {
+// draw), and only then the fixed-seed pilot sample, drawn from src.
+func (e *Engine) resolveBounds(tab Table, src sampling.RowSource, epoch uint64, keyCols []string, strata int) ([][]byte, error) {
 	if strata <= 1 {
 		return nil, nil
 	}
@@ -100,16 +104,40 @@ func (e *Engine) resolveBounds(tab Table, epoch uint64, keyCols []string, strata
 			return core.EquiDepthFromKeys(keys, strata), nil
 		}
 	}
-	return core.PilotBoundaries(tab, tab.Schema(), keyCols, strata)
+	return core.PilotBoundaries(src, tab.Schema(), keyCols, strata)
+}
+
+// strataKey identifies fixed-r stratified batch items that share one arm
+// set: the directory they draw through plus the sample size and seed that
+// fix every arm's allocation and stream. Codec and page size stay out —
+// they act only after the arms are drawn and prepared.
+type strataKey struct {
+	dir  dirKey
+	r    int64
+	seed uint64
+}
+
+// strataGroup draws and prepares one arm set for every batch item with the
+// same strataKey; each member compresses it under its own codec.
+type strataGroup struct {
+	once    sync.Once
+	r       int64 // the sample size the arms split proportionally
+	members int
+
+	set *core.ArmSet
+	err error
 }
 
 // tableArms builds the per-stratum arms of one catalog table — the whole
 // table, or one shard of a partitioned one — resolving the directory through
 // the cache and wiring the rows-per-stratum ledger into each arm's draws. A
 // cache miss's build (boundary resolution plus the stratify scan) is timed
-// as the stratify stage.
+// as the stratify stage. The pilot, the scan and every arm draw read the
+// table's snapshot at epoch when one is published (pinnedSourceAt), so a
+// directory and its draws see exactly the row set the epoch names.
 func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols []string, strata int, seed uint64) ([]core.StratumArm, error) {
 	schema := tab.Schema()
+	src := pinnedSourceAt(tab, epoch)
 	ent := e.strataDirs.Put(dirKey{
 		inst: tab.InstanceID(), epoch: epoch,
 		columns: strings.Join(keyCols, "\x00"), strata: strata,
@@ -122,17 +150,17 @@ func (e *Engine) tableArms(ctx context.Context, tab Table, epoch uint64, keyCols
 			e.stageStratifyHist.Observe(time.Since(t0))
 			end.End()
 		}()
-		bounds, err := e.resolveBounds(tab, epoch, keyCols, strata)
+		bounds, err := e.resolveBounds(tab, src, epoch, keyCols, strata)
 		if err != nil {
 			ent.err = err
 			return
 		}
-		ent.dir, ent.err = core.StratifyTable(tab, schema, keyCols, bounds)
+		ent.dir, ent.err = core.StratifyTable(src, schema, keyCols, bounds)
 	})
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	arms := core.DirectoryArms(tab, schema, keyCols, ent.dir, seed)
+	arms := core.DirectoryArms(src, schema, keyCols, ent.dir, seed)
 	for i := range arms {
 		e.instrumentArm(&arms[i], i)
 	}
@@ -235,31 +263,25 @@ func shardArm(req Request, shard Table, h int, weight float64, seed uint64) core
 }
 
 // evaluateStratified runs one fixed-r stratified request on a pool worker:
-// resolve the arms, allocate r proportionally across them, run the
-// per-stratum draws (core.EstimateStratified bounds its own fan-out), and
-// cache the merged estimate under the request-level key.
+// the item's strata group draws and prepares the arm set once
+// (prepareArmSet), then this item compresses it under its own codec and
+// caches the merged estimate under the request-level key.
 func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
-	req := it.req
+	g := it.stg
+	g.once.Do(func() {
+		// Once-shared like drawSample: trap panics into the group's error.
+		defer e.trapShardPanic(&g.err)
+		g.set, g.err = e.prepareArmSet(ctx, it)
+	})
+	if g.err != nil {
+		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, g.err)}
+	}
 	e.stratified.Add(1)
-	arms, _, err := e.requestArms(ctx, req, it.key.epoch)
-	if err != nil {
-		return Result{Err: fmt.Errorf("engine: request %d: stratify: %w", it.idx, err)}
-	}
-	e.strataCountHist.Observe(time.Duration(len(arms)))
-	r := req.SampleRows
-	if r <= 0 {
-		r = sampling.SampleSize(req.Table.NumRows(), req.Fraction)
-	}
-	counts := make([]int64, len(arms))
-	for i := range arms {
-		counts[i] = arms[i].Rows
-	}
-	alloc := sampling.Allocate(r, counts, nil)
-	e.samplesDrawn.Add(1)
+	e.strataCountHist.Observe(time.Duration(g.set.NumArms()))
 	_, end := obs.StartSpan(ctx, stageCompress)
 	t0 := time.Now()
-	est, err := core.EstimateStratified(arms, alloc, core.Options{
-		Codec: req.Codec, PageSize: it.pageSize, Seed: req.Seed, Strata: req.Strata,
+	est, err := g.set.Estimate(core.Options{
+		Codec: it.req.Codec, PageSize: it.pageSize, Seed: it.req.Seed, Strata: it.req.Strata,
 	})
 	e.stageCompressHist.Observe(time.Since(t0))
 	end.End()
@@ -267,8 +289,41 @@ func (e *Engine) evaluateStratified(ctx context.Context, it *batchItem) Result {
 		return Result{Err: fmt.Errorf("engine: request %d: %w", it.idx, err)}
 	}
 	e.evaluated.Add(1)
+	shared := g.members > 1
+	if shared {
+		e.samplesShared.Add(1)
+	}
 	e.cache.Put(it.key, est)
-	return Result{Estimate: est}
+	return Result{Estimate: est, SharedSample: shared}
+}
+
+// prepareArmSet is a strata group's shared work: resolve the arms, guard
+// their draws (guardArms: ctx checks, fault points, panic traps, retries),
+// allocate r proportionally across them, and draw and prepare every arm
+// once. The ledger counts one draw and one prepared index per arm.
+func (e *Engine) prepareArmSet(ctx context.Context, it *batchItem) (*core.ArmSet, error) {
+	arms, shardOf, err := e.requestArms(ctx, it.req, it.key.epoch)
+	if err != nil {
+		return nil, fmt.Errorf("stratify: %w", err)
+	}
+	e.guardArms(ctx, arms, shardOf, false)
+	counts := make([]int64, len(arms))
+	for i := range arms {
+		counts[i] = arms[i].Rows
+	}
+	_, end := obs.StartSpan(ctx, stageDraw)
+	t0 := time.Now()
+	set, err := core.PrepareArms(arms, sampling.Allocate(it.stg.r, counts, nil))
+	e.stageDrawHist.Observe(time.Since(t0))
+	end.End()
+	if err != nil {
+		return nil, err
+	}
+	e.samplesDrawn.Add(uint64(set.NumArms()))
+	e.prepared.Add(uint64(set.NumArms()))
+	e.prepareNanos.Add(uint64(set.PrepDuration().Nanoseconds()))
+	e.sortRows.Add(uint64(set.SampleRows()))
+	return set, nil
 }
 
 // runArmsAdaptive is the precision-targeted loop for every arm-set request

@@ -3,6 +3,7 @@ package sampling
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,6 +11,7 @@ import (
 
 	"samplecf/internal/rng"
 	"samplecf/internal/value"
+	"samplecf/internal/workgroup"
 )
 
 // Stratified draws: the sampling side of variance-directed estimation.
@@ -120,9 +122,11 @@ type StrataDirectory struct {
 // value.EncodeKey produces, with the tied boundaries. Every key column's
 // payload length is still checked on every row, so a row EncodeKey would
 // reject fails the build with the same value.ValidateRow error. A counting
-// sort then lays the rows out stratum by stratum in one index array. Within a stratum, row indices stay in table order — with a single
-// stratum the directory is the identity over [0, n), which is what keeps
-// degenerate stratified draws byte-identical to uniform ones.
+// sort then lays the rows out stratum by stratum in one index array
+// (layoutStrata, chunk-parallel on a StableRowSource). Within a stratum,
+// row indices stay in table order — with a single stratum the directory is
+// the identity over [0, n), which is what keeps degenerate stratified
+// draws byte-identical to uniform ones.
 func BuildStrataDirectory(src RowSource, ks *KeyStrata, keySchema *value.Schema, project []int) (*StrataDirectory, error) {
 	n := src.NumRows()
 	if n == 0 {
@@ -155,40 +159,96 @@ func BuildStrataDirectory(src RowSource, ks *KeyStrata, keySchema *value.Schema,
 	return d, nil
 }
 
+// chunkRows is the stratify scan's parallel grain: a scan-stable source
+// splits into one contiguous chunk per worker-group slot it can fill with
+// at least this many rows.
+const chunkRows = 32 << 10
+
 // layoutStrata classifies every row of src into a per-row stratum scratch
 // (one byte per row up to 256 strata, four past it), then places the row
 // indices by counting sort: the classify pass counts, a prefix sum turns
 // counts into start positions, and one stable placement pass fills the
 // single index array the strata slice.
+//
+// A StableRowSource splits [0, n) into up to workgroup.Limit(n/chunkRows)
+// contiguous chunks that classify and place in parallel, each with its own
+// classifier clone and per-stratum counts. The prefix sum runs stratum-
+// major, then chunk by chunk, so chunk c's rows of stratum s land right
+// after chunk c-1's: the layout is exactly the sequential one. Errors
+// report in chunk order, so the first bad row's error is the one returned.
+// Any other source scans as one chunk.
 func layoutStrata[S uint8 | uint32](src RowSource, h int, cl *classifier) ([][]uint32, error) {
-	n := src.NumRows()
+	n := int(src.NumRows())
+	chunks := 1
+	if _, ok := src.(StableRowSource); ok {
+		chunks = workgroup.Limit(n / chunkRows)
+	}
+	lo := func(c int) int { return c * n / chunks } // chunk c is [lo(c), lo(c+1))
+	// counts[c*stride+s] is chunk c's row count in stratum s, later its next
+	// write position; a cache line of padding separates the chunks' ranges.
+	stride := h + 8
+	counts := make([]int, chunks*stride)
 	of := make([]S, n)
-	counts := make([]int, h)
-	for i := range of {
-		row, err := src.Row(int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("sampling: row fetch: %w", err)
+	errs := make([]error, chunks)
+	workgroup.Each(chunks, func(c int) {
+		defer workgroup.Recover(&errs[c])
+		ccl := cl
+		if c > 0 {
+			ccl = cl.clone()
 		}
-		s, err := cl.stratumOf(row)
+		errs[c] = classifyChunk(src, ccl, lo(c), of[lo(c):lo(c+1)], counts[c*stride:c*stride+h])
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sampling: encode stratum key: %w", err)
+			return nil, err
 		}
-		of[i] = S(s)
-		counts[s]++
 	}
 	idx := make([]uint32, n)
 	rows := make([][]uint32, h)
 	pos := 0
-	for s, c := range counts {
-		rows[s] = idx[pos : pos+c : pos+c]
-		counts[s] = pos // from here on, stratum s's next write position
-		pos += c
+	for s := 0; s < h; s++ {
+		start := pos
+		for c := 0; c < chunks; c++ {
+			k := c*stride + s
+			counts[k], pos = pos, pos+counts[k]
+		}
+		rows[s] = idx[start:pos:pos]
 	}
-	for i, s := range of {
-		idx[counts[s]] = uint32(i)
-		counts[s]++
+	workgroup.Each(chunks, func(c int) {
+		defer workgroup.Recover(&errs[c])
+		placeChunk(idx, lo(c), of[lo(c):lo(c+1)], counts[c*stride:c*stride+h])
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// classifyChunk classifies the rows [lo, lo+len(of)) of src into of,
+// counting each stratum's rows in counts.
+func classifyChunk[S uint8 | uint32](src RowSource, cl *classifier, lo int, of []S, counts []int) error {
+	for i := range of {
+		row, err := src.Row(int64(lo + i))
+		if err != nil {
+			return fmt.Errorf("sampling: row fetch: %w", err)
+		}
+		s, err := cl.stratumOf(row)
+		if err != nil {
+			return fmt.Errorf("sampling: encode stratum key: %w", err)
+		}
+		of[i] = S(s)
+		counts[s]++
+	}
+	return nil
+}
+
+// placeChunk writes the row indices [lo, lo+len(of)) into idx at their
+// strata's next write positions, advancing next.
+func placeChunk[S uint8 | uint32](idx []uint32, lo int, of []S, next []int) {
+	for i, s := range of {
+		idx[next[s]] = uint32(lo + i)
+		next[s]++
+	}
 }
 
 // classifier maps rows to strata through abbreviated keys: the first 8
@@ -240,6 +300,16 @@ func newClassifier(ks *KeyStrata, schema *value.Schema, project []int) *classifi
 	copy(cl.win[:], cl.tmpl)
 	cl.key = make([]byte, len(cl.tmpl))
 	return cl
+}
+
+// clone returns a classifier sharing cl's read-only tables with its own
+// tie-path scratch, for a concurrent scan chunk. The scratch's capacity is
+// a multiple of 64 bytes, which puts it in a cache-line-aligned size class
+// with no other chunk's scratch on its lines.
+func (cl *classifier) clone() *classifier {
+	c := *cl
+	c.key = make([]byte, len(cl.key), (len(cl.key)+127)&^63)
+	return &c
 }
 
 // abbrev returns the first 8 bytes of key, zero-extended, as a big-endian
@@ -344,10 +414,14 @@ func (d *StrataDirectory) Counts() []int64 {
 }
 
 // WRInto draws r rows uniformly with replacement from stratum h, encoding
-// each straight into the arena — the fixed-size stratified draw. The g
+// each straight into the arena — the fixed-size stratified draw, one
+// sampling.draw fault-point hit per call (ExtendWRInto included). The g
 // stream is caller-owned (one rng.New(StreamSeed(seed, h)) per stratum), so
 // with a single identity stratum the draw sequence is exactly UniformWRInto's.
 func (d *StrataDirectory) WRInto(src RowSource, h int, r int64, g *rng.RNG, ar *value.RecordArena) error {
+	if err := drawPoint.Check(); err != nil {
+		return err
+	}
 	idx := d.rows[h]
 	if len(idx) == 0 {
 		return fmt.Errorf("sampling: stratum %d is empty", h)

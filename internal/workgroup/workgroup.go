@@ -10,6 +10,7 @@ package workgroup
 
 import (
 	"runtime"
+	"sync"
 
 	"samplecf/internal/faults"
 	"samplecf/internal/obs"
@@ -92,4 +93,27 @@ func Recover(errp *error) {
 	if r := recover(); r != nil {
 		*errp = faults.AsError(r)
 	}
+}
+
+// Each runs work(i) for every i in [0, units) under the bounded fan-out:
+// a unit starts on a new goroutine while the Limit(units)-wide group has a
+// free slot and runs inline on the caller otherwise. Each returns once
+// every unit has. work must trap its own panics (Recover) — a panic on an
+// extra goroutine would otherwise crash the process.
+func Each(units int, work func(i int)) {
+	sem := NewSem(Limit(units) - 1)
+	var wg sync.WaitGroup
+	for i := 0; i < units; i++ {
+		if sem.TryAcquire() {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer sem.Release()
+				work(i)
+			}(i)
+		} else {
+			work(i)
+		}
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package workgroup
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -45,5 +46,29 @@ func TestSem(t *testing.T) {
 	s.Release()
 	if !s.TryAcquire() {
 		t.Fatal("released slot must be reusable")
+	}
+}
+
+// TestEach: every unit runs exactly once, on at most Limit(units)
+// goroutines at a time counting the caller's.
+func TestEach(t *testing.T) {
+	for _, units := range []int{0, 1, 3, 50} {
+		var ran [50]atomic.Int32
+		var live, peak atomic.Int32
+		Each(units, func(i int) {
+			n := live.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			ran[i].Add(1)
+			live.Add(-1)
+		})
+		for i := 0; i < units; i++ {
+			if got := ran[i].Load(); got != 1 {
+				t.Errorf("units=%d: unit %d ran %d times", units, i, got)
+			}
+		}
+		if p := int(peak.Load()); p > Limit(units) {
+			t.Errorf("units=%d: %d units ran at once, Limit is %d", units, p, Limit(units))
+		}
 	}
 }
